@@ -34,37 +34,41 @@ bench-jobs:
 	$(GO) test -run '^$$' -bench 'BenchmarkJobs' -benchmem -benchtime 200x -count 3 ./internal/jobs/ \
 		| $(GO) run ./cmd/benchjson -out BENCH_5.json
 
-# bench-prune is the CI gate for the branch-and-bound pruning cascade
-# (core.Config.Prune, DESIGN.md §9) and emits BENCH_6.json. BENCHCOUNT
-# single-shot rounds of the prune suite plus the untouched BenchmarkTable2
-# cells accumulate in one file (per-round pairing rationale as in
-# telemetry-overhead below), then three benchdiff gates run:
+# bench-prune is the CI gate for the engine's pruning cascade (DESIGN.md
+# §9) and emits BENCH_6.json. BENCHCOUNT single-shot rounds of
+# BenchmarkEngineTable2 — every Table 2 cell run through the test-only
+# reference scan (engine=reference) and the default engine
+# (engine=default) — plus the untouched BenchmarkTable2 cells accumulate
+# in one file (per-round pairing rationale as in telemetry-overhead
+# below), then three benchdiff gates run:
 #   1. speedup: the greedy worst-attribute-scan cells (unbalanced and
-#      r-unbalanced, the cascade's target) must be >=5x faster pruned
-#      (overhead <= -80%). The balanced family and all-attributes sit at
-#      their bit-identity floor — the winner of every round must still be
-#      evaluated exactly — so they are measured and recorded but not held
-#      to 5x; EXPERIMENTS.md works through the floor argument.
-#   2. no harm: over the full suite, pruning on must never lose to off.
-#   3. control: prune=off must match BenchmarkTable2 cell for cell — the
-#      default unpruned path is untouched by the cascade. The control runs
-#      prune=off cells in their own process (same cell sequence as
-#      BenchmarkTable2) because interleaved prune=on cells shrink the live
-#      heap and reshape GC pacing for the cell after them — a benchmark
-#      artifact, not an engine cost — and into a separate file so the
-#      off-lines of the full-suite rounds don't pollute the pool.
+#      r-unbalanced, the cascade's target) must be >=5x faster on the
+#      default engine than on the reference (overhead <= -80%). The
+#      balanced family and all-attributes sit at their bit-identity
+#      floor — the winner of every round must still be evaluated exactly
+#      — so they are measured and recorded but not held to 5x;
+#      EXPERIMENTS.md works through the floor argument.
+#   2. no harm: over the full suite, the default engine must never lose
+#      to the reference.
+#   3. control: engine=default must match BenchmarkTable2 cell for cell —
+#      the benchmark harness adds nothing to the audit it times. The
+#      control runs engine=default cells in their own process (same cell
+#      sequence as BenchmarkTable2) because interleaved reference cells
+#      grow the live heap and reshape GC pacing for the cell after them —
+#      a benchmark artifact, not an engine cost — and into a separate file
+#      so the full-suite rounds' lines don't pollute the pool.
 bench-prune:
 	@rm -f /tmp/prune-bench.txt /tmp/prune-ctrl.txt
 	@for i in $$(seq $(BENCHCOUNT)); do \
-		$(GO) test -run '^$$' -bench 'BenchmarkPruneTable2$$' -benchtime 1x -count 1 . >> /tmp/prune-bench.txt || exit 1; \
+		$(GO) test -run '^$$' -bench 'BenchmarkEngineTable2$$' -benchtime 1x -count 1 ./internal/core/ >> /tmp/prune-bench.txt || exit 1; \
 		$(GO) test -run '^$$' -bench 'BenchmarkTable2$$' -benchtime 1x -count 1 . >> /tmp/prune-ctrl.txt || exit 1; \
-		$(GO) test -run '^$$' -bench 'BenchmarkPruneTable2$$/./prune=off$$' -benchtime 1x -count 1 . >> /tmp/prune-ctrl.txt || exit 1; \
+		$(GO) test -run '^$$' -bench 'BenchmarkEngineTable2$$/./engine=default$$' -benchtime 1x -count 1 ./internal/core/ >> /tmp/prune-ctrl.txt || exit 1; \
 	done
 	@grep ns/op /tmp/prune-bench.txt
-	grep -E 'a=(r-)?unbalanced/' /tmp/prune-bench.txt | $(GO) run ./cmd/benchdiff -baseline 'prune=off' -candidate 'prune=on' -max-overhead -80
-	$(GO) run ./cmd/benchdiff -baseline 'prune=off' -candidate 'prune=on' -max-overhead 0 < /tmp/prune-bench.txt
-	$(GO) run ./cmd/benchdiff -baseline 'BenchmarkTable2/' -candidate 'prune=off' -max-overhead 10 < /tmp/prune-ctrl.txt
-	$(GO) run ./cmd/benchjson -prune -algo balanced -workers 7300 -out BENCH_6.json < /tmp/prune-bench.txt
+	grep -E 'a=(r-)?unbalanced/' /tmp/prune-bench.txt | $(GO) run ./cmd/benchdiff -baseline 'engine=reference' -candidate 'engine=default' -max-overhead -80
+	$(GO) run ./cmd/benchdiff -baseline 'engine=reference' -candidate 'engine=default' -max-overhead 0 < /tmp/prune-bench.txt
+	$(GO) run ./cmd/benchdiff -baseline 'BenchmarkTable2/' -candidate 'engine=default' -max-overhead 10 < /tmp/prune-ctrl.txt
+	$(GO) run ./cmd/benchjson -algo balanced -workers 7300 -out BENCH_6.json < /tmp/prune-bench.txt
 
 # bench-snapshot is the CI gate for the mmap snapshot engine (DESIGN.md
 # §10) and emits BENCH_7.json. Each of the BENCHCOUNT rounds emits every
@@ -177,6 +181,7 @@ verify:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPMFDistance$$' -fuzztime $(FUZZTIME) ./internal/emd/
 	$(GO) test -run '^$$' -fuzz '^FuzzExactEMD$$' -fuzztime $(FUZZTIME) ./internal/emd/
+	$(GO) test -run '^$$' -fuzz '^FuzzExactWp$$' -fuzztime $(FUZZTIME) ./internal/testkit/
 	$(GO) test -run '^$$' -fuzz '^FuzzFixedQuant$$' -fuzztime $(FUZZTIME) ./internal/emd/
 	$(GO) test -run '^$$' -fuzz '^FuzzHistogram$$' -fuzztime $(FUZZTIME) ./internal/histogram/
 	$(GO) test -run '^$$' -fuzz '^FuzzEnumerate$$' -fuzztime $(FUZZTIME) ./internal/partition/

@@ -43,34 +43,14 @@ type TraceStep struct {
 // partition on it.
 type chooser func(s *matState, attrs []int) (attr int, children *matState)
 
-// worstAttribute is the paper's greedy choice: probe every remaining
-// attribute (concurrently, under Config.Parallelism) and keep the one whose
-// split yields the highest average pairwise distance. Ties break toward the
-// lowest attribute index, making runs deterministic regardless of the scan
-// order.
-func worstAttribute(s *matState, attrs []int) (int, *matState) {
-	probes := s.probeAll(attrs)
-	best := 0
-	for x := 1; x < len(probes); x++ {
-		if probes[x].avg > probes[best].avg {
-			best = x
-		}
-	}
-	return attrs[best], probes[best]
-}
-
 // randomAttribute is the baseline choice used by r-balanced and
 // r-unbalanced: a uniformly random remaining attribute. A single random
-// candidate offers nothing to prune, but under Config.Prune the probe
-// routes through the lean allocation-free fill (probeLean) so the random
-// baselines share the pruned runs' constant factors.
+// candidate offers nothing to prune, so it is probed through the lean
+// exact fill (probeLean) that the greedy scan's survivors also take.
 func randomAttribute(r *rng.RNG) chooser {
 	return func(s *matState, attrs []int) (int, *matState) {
 		a := attrs[r.Intn(len(attrs))]
-		if s.e.prune {
-			return a, s.probeLean(a, s.e.cfg.Parallelism)
-		}
-		return a, s.probe(a, s.e.cfg.Parallelism, true)
+		return a, s.probeLean(a, s.e.cfg.Parallelism)
 	}
 }
 
@@ -85,24 +65,9 @@ func remove(attrs []int, a int) []int {
 	return out
 }
 
-// Balanced runs Algorithm 1: repeatedly split every current partition on
-// the worst remaining attribute, stopping when the average pairwise
+// balancedWith runs Algorithm 1: repeatedly split every current partition
+// on the attribute choose picks, stopping when the average pairwise
 // distance no longer improves. attrs nil means all protected attributes.
-//
-// Balanced, Unbalanced and the other exported algorithm functions are the
-// uncancellable direct entry points; session consumers go through Run,
-// which adds context cancellation, progress callbacks and per-run stats.
-func Balanced(e *Evaluator, attrs []int) *Result {
-	res, _ := balancedWith(context.Background(), e, attrs, e.worstChooser(), "balanced", nil)
-	return res
-}
-
-// RBalanced is Balanced with random attribute choice (baseline).
-func RBalanced(e *Evaluator, attrs []int, r *rng.RNG) *Result {
-	res, _ := balancedWith(context.Background(), e, attrs, randomAttribute(r), "r-balanced", nil)
-	return res
-}
-
 func balancedWith(ctx context.Context, e *Evaluator, attrs []int, choose chooser, name string, progress func(TraceStep)) (*Result, error) {
 	start := time.Now()
 	if attrs == nil {
@@ -153,23 +118,14 @@ func balancedWith(ctx context.Context, e *Evaluator, attrs []int, choose chooser
 	return res, nil
 }
 
-// Unbalanced runs Algorithm 2: after an initial split on the worst
-// attribute, each partition locally decides whether replacing itself by its
-// children (split on its locally worst attribute) increases the average
-// pairwise distance against its siblings. attrs nil means all protected
-// attributes.
-func Unbalanced(e *Evaluator, attrs []int) *Result {
-	res, _ := unbalancedWith(context.Background(), e, attrs, e.worstChooser(), "unbalanced", nil)
-	return res
-}
-
-// RUnbalanced is Unbalanced with random attribute choice (baseline).
-func RUnbalanced(e *Evaluator, attrs []int, r *rng.RNG) *Result {
-	res, _ := unbalancedWith(context.Background(), e, attrs, randomAttribute(r), "r-unbalanced", nil)
-	return res
-}
-
-func unbalancedWith(ctx context.Context, e *Evaluator, attrs []int, choose chooser, name string, progress func(TraceStep)) (*Result, error) {
+// unbalancedWith runs Algorithm 2: after an initial split on the attribute
+// choose picks, each partition locally decides whether replacing itself by
+// its children (split on its locally chosen attribute) increases the
+// average pairwise distance against its siblings. attrs nil means all
+// protected attributes. final reduces the output partitioning to its
+// unfairness: the registry passes avgPairwiseAuto, the test-only reference
+// engine the cached AvgPairwise.
+func unbalancedWith(ctx context.Context, e *Evaluator, attrs []int, choose chooser, final func([]*partition.Partition) float64, name string, progress func(TraceStep)) (*Result, error) {
 	start := time.Now()
 	if attrs == nil {
 		attrs = e.Attrs()
@@ -241,18 +197,13 @@ func unbalancedWith(ctx context.Context, e *Evaluator, attrs []int, choose choos
 	}
 
 	res.Partitioning = &partition.Partitioning{Parts: output}
-	res.Unfairness = e.avgPairwiseAuto(output)
+	res.Unfairness = final(output)
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
-// AllAttributes is the full-partitioning baseline: split on every protected
-// attribute unconditionally.
-func AllAttributes(e *Evaluator, attrs []int) *Result {
-	res, _ := allAttributesCtx(context.Background(), e, attrs, nil)
-	return res
-}
-
+// allAttributesCtx is the full-partitioning baseline: split on every
+// protected attribute unconditionally.
 func allAttributesCtx(ctx context.Context, e *Evaluator, attrs []int, progress func(TraceStep)) (*Result, error) {
 	start := time.Now()
 	if attrs == nil {
@@ -266,9 +217,9 @@ func allAttributesCtx(ctx context.Context, e *Evaluator, attrs []int, progress f
 			return nil, err
 		}
 		// Every split is unconditional, so intermediate averages are never
-		// consulted: scatter-only probes skip the distance work entirely and
+		// consulted: scatter-only splits skip the distance work entirely and
 		// the triangle is materialized once at the end.
-		state = state.probe(a, e.cfg.Parallelism, false)
+		state = state.childState(state.scatterAll(a))
 		step := TraceStep{Attribute: a, Partitions: len(state.parts), Accepted: true}
 		res.Steps = append(res.Steps, step)
 		if progress != nil {
@@ -288,17 +239,13 @@ func allAttributesCtx(ctx context.Context, e *Evaluator, attrs []int, progress f
 	return res, nil
 }
 
-// ExhaustiveCells solves the optimization problem exactly over the full
+// exhaustiveCellsCtx solves the optimization problem exactly over the full
 // set-partition space: every grouping of the non-empty cells of the
 // attribute cross-product, a strict superset of the hierarchical tree space
-// Exhaustive searches (and of everything the heuristics can return). The
-// space size is the Bell number of the cell count, so this is only usable
-// on tiny instances; it exists to quantify how much optimum the tree-shaped
-// formulations leave on the table.
-func ExhaustiveCells(e *Evaluator, attrs []int, budget int) (*Result, error) {
-	return exhaustiveCellsCtx(context.Background(), e, attrs, budget)
-}
-
+// exhaustiveCtx searches (and of everything the heuristics can return).
+// The space size is the Bell number of the cell count, so this is only
+// usable on tiny instances; it exists to quantify how much optimum the
+// tree-shaped formulations leave on the table.
 func exhaustiveCellsCtx(ctx context.Context, e *Evaluator, attrs []int, budget int) (*Result, error) {
 	start := time.Now()
 	if attrs == nil {
@@ -335,16 +282,14 @@ func exhaustiveCellsCtx(ctx context.Context, e *Evaluator, attrs []int, budget i
 	return res, nil
 }
 
-// Exhaustive solves the optimization problem exactly by enumerating every
-// hierarchical split partitioning, subject to a budget on the number of
-// partitionings. It returns partition.ErrBudgetExceeded beyond the budget —
-// the expected outcome at realistic attribute counts, mirroring the paper's
-// brute-force solver that "failed to terminate after running for two days".
-func Exhaustive(e *Evaluator, attrs []int, budget int) (*Result, error) {
-	return exhaustiveCtx(context.Background(), e, attrs, budget)
-}
-
-// exhaustiveCtx checks ctx before and during every candidate evaluation.
+// exhaustiveCtx solves the optimization problem exactly by enumerating
+// every hierarchical split partitioning, subject to a budget on the number
+// of partitionings. It returns partition.ErrBudgetExceeded beyond the
+// budget — the expected outcome at realistic attribute counts, mirroring
+// the paper's brute-force solver that "failed to terminate after running
+// for two days".
+//
+// It checks ctx before and during every candidate evaluation.
 // Note that EnumerateTrees materializes its option lists before the first
 // yield, so with budgets far above the default the solver observes ctx only
 // once candidates start flowing; exhaustiveCellsCtx streams from the start.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sort"
 	"strings"
@@ -50,7 +51,7 @@ func labelsOf(pt *partition.Partitioning, s *dataset.Schema) []string {
 func TestFigure1UnbalancedFindsOptimum(t *testing.T) {
 	ds := figure1Dataset(t)
 	e := mustEval(t, ds, Config{Bins: 10})
-	res := Unbalanced(e, nil)
+	res := runOn(t, e, "unbalanced", nil)
 	want := []string{
 		"Gender=Female",
 		"Gender=Male ∧ Language=English",
@@ -72,7 +73,7 @@ func TestFigure1UnbalancedFindsOptimum(t *testing.T) {
 func TestFigure1ExhaustiveAgrees(t *testing.T) {
 	ds := figure1Dataset(t)
 	e := mustEval(t, ds, Config{Bins: 10})
-	ex, err := Exhaustive(e, nil, 10000)
+	ex, err := exhaustiveCtx(context.Background(), e, nil, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestFigure1ExhaustiveAgrees(t *testing.T) {
 		t.Fatalf("exhaustive optimum = %v, want 0.5", ex.Unfairness)
 	}
 	// The heuristic must match the exact optimum on this instance.
-	ub := Unbalanced(e, nil)
+	ub := runOn(t, e, "unbalanced", nil)
 	if math.Abs(ub.Unfairness-ex.Unfairness) > 1e-9 {
 		t.Fatalf("unbalanced %v != exhaustive %v", ub.Unfairness, ex.Unfairness)
 	}
@@ -92,7 +93,7 @@ func TestFigure1BalancedStopsAtGender(t *testing.T) {
 	// stop, because also splitting Language lowers the average to 0.36.
 	ds := figure1Dataset(t)
 	e := mustEval(t, ds, Config{Bins: 10})
-	res := Balanced(e, nil)
+	res := runOn(t, e, "balanced", nil)
 	got := labelsOf(res.Partitioning, ds.Schema())
 	want := []string{"Gender=Female", "Gender=Male"}
 	if strings.Join(got, ";") != strings.Join(want, ";") {
@@ -139,7 +140,7 @@ func TestBalancedRecoversDesignedBias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Balanced(e, nil)
+	res := runOn(t, e, "balanced", nil)
 	used := res.Partitioning.AttributesUsed()
 	if len(used) != 1 || used[0] != 0 {
 		t.Fatalf("balanced used attributes %v, want only Gender", used)
@@ -157,9 +158,9 @@ func TestBalancedBeatsRandomOnBias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bal := Balanced(e, nil)
-	all := AllAttributes(e, nil)
-	rb := RBalanced(e, nil, rng.New(99))
+	bal := runOn(t, e, "balanced", nil)
+	all := runOn(t, e, "all-attributes", nil)
+	rb := runOn(t, e, "r-balanced", nil)
 	if bal.Unfairness < all.Unfairness-1e-9 {
 		t.Errorf("balanced %v < all-attributes %v", bal.Unfairness, all.Unfairness)
 	}
@@ -171,7 +172,7 @@ func TestBalancedBeatsRandomOnBias(t *testing.T) {
 func TestAllAttributesFullSplit(t *testing.T) {
 	ds := randomDataset(t, 200, 31)
 	e := mustEval(t, ds, Config{})
-	res := AllAttributes(e, nil)
+	res := runOn(t, e, "all-attributes", nil)
 	if err := res.Partitioning.Validate(ds); err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +190,12 @@ func TestAllAttributesFullSplit(t *testing.T) {
 func TestAllResultsValid(t *testing.T) {
 	ds := randomDataset(t, 300, 37)
 	e := mustEval(t, ds, Config{})
-	r := rng.New(5)
 	results := []*Result{
-		Balanced(e, nil),
-		Unbalanced(e, nil),
-		RBalanced(e, nil, r),
-		RUnbalanced(e, nil, r),
-		AllAttributes(e, nil),
+		runOn(t, e, "balanced", nil),
+		runOn(t, e, "unbalanced", nil),
+		runOn(t, e, "r-balanced", nil),
+		runOn(t, e, "r-unbalanced", nil),
+		runOn(t, e, "all-attributes", nil),
 	}
 	names := map[string]bool{}
 	for _, res := range results {
@@ -221,7 +221,7 @@ func TestUnfairnessMatchesReportedResult(t *testing.T) {
 	// Result.Unfairness must equal re-evaluating the partitioning.
 	ds := randomDataset(t, 250, 41)
 	e := mustEval(t, ds, Config{})
-	for _, res := range []*Result{Balanced(e, nil), Unbalanced(e, nil), AllAttributes(e, nil)} {
+	for _, res := range []*Result{runOn(t, e, "balanced", nil), runOn(t, e, "unbalanced", nil), runOn(t, e, "all-attributes", nil)} {
 		if got := e.Unfairness(res.Partitioning); math.Abs(got-res.Unfairness) > 1e-12 {
 			t.Errorf("%s: reported %v, re-evaluated %v", res.Algorithm, res.Unfairness, got)
 		}
@@ -232,9 +232,9 @@ func TestEmptyAttributeSet(t *testing.T) {
 	ds := randomDataset(t, 50, 43)
 	e := mustEval(t, ds, Config{})
 	for _, res := range []*Result{
-		Balanced(e, []int{}),
-		Unbalanced(e, []int{}),
-		AllAttributes(e, []int{}),
+		runOn(t, e, "balanced", []int{}),
+		runOn(t, e, "unbalanced", []int{}),
+		runOn(t, e, "all-attributes", []int{}),
 	} {
 		if res.Partitioning.Size() != 1 || res.Unfairness != 0 {
 			t.Errorf("%s with no attrs: size=%d unfairness=%v",
@@ -249,11 +249,11 @@ func TestEmptyAttributeSet(t *testing.T) {
 func TestSingleAttribute(t *testing.T) {
 	ds := randomDataset(t, 100, 47)
 	e := mustEval(t, ds, Config{})
-	res := Balanced(e, []int{0})
+	res := runOn(t, e, "balanced", []int{0})
 	if got := len(res.Partitioning.AttributesUsed()); got != 1 {
 		t.Fatalf("used %d attributes, want 1", got)
 	}
-	res2 := Unbalanced(e, []int{0})
+	res2 := runOn(t, e, "unbalanced", []int{0})
 	if err := res2.Partitioning.Validate(ds); err != nil {
 		t.Fatal(err)
 	}
@@ -263,13 +263,13 @@ func TestDeterminism(t *testing.T) {
 	ds := randomDataset(t, 200, 53)
 	e1 := mustEval(t, ds, Config{})
 	e2 := mustEval(t, ds, Config{})
-	a := Balanced(e1, nil)
-	b := Balanced(e2, nil)
+	a := runOn(t, e1, "balanced", nil)
+	b := runOn(t, e2, "balanced", nil)
 	if a.Unfairness != b.Unfairness || a.Partitioning.Size() != b.Partitioning.Size() {
 		t.Fatal("balanced is not deterministic")
 	}
-	ra := RBalanced(e1, nil, rng.New(7))
-	rb := RBalanced(e2, nil, rng.New(7))
+	ra := runOn(t, e1, "r-balanced", nil)
+	rb := runOn(t, e2, "r-balanced", nil)
 	if ra.Unfairness != rb.Unfairness {
 		t.Fatal("r-balanced with equal seeds differs")
 	}
@@ -278,7 +278,7 @@ func TestDeterminism(t *testing.T) {
 func TestExhaustiveBudget(t *testing.T) {
 	ds := randomDataset(t, 50, 59)
 	e := mustEval(t, ds, Config{})
-	if _, err := Exhaustive(e, nil, 2); err != partition.ErrBudgetExceeded {
+	if _, err := exhaustiveCtx(context.Background(), e, nil, 2); err != partition.ErrBudgetExceeded {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
 }
@@ -289,15 +289,15 @@ func TestExhaustiveDominatesHeuristics(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		ds := randomDataset(t, 60, 100+seed)
 		e := mustEval(t, ds, Config{})
-		ex, err := Exhaustive(e, nil, 100000)
+		ex, err := exhaustiveCtx(context.Background(), e, nil, 100000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := rng.New(seed)
-		for _, res := range []*Result{
-			Balanced(e, nil), Unbalanced(e, nil),
-			RBalanced(e, nil, r), RUnbalanced(e, nil, r), AllAttributes(e, nil),
-		} {
+		for _, alg := range []string{"balanced", "unbalanced", "r-balanced", "r-unbalanced", "all-attributes"} {
+			res, err := Run(context.Background(), Spec{Algorithm: alg, Evaluator: e, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if res.Unfairness > ex.Unfairness+1e-9 {
 				t.Errorf("seed %d: %s (%v) beat exhaustive (%v)",
 					seed, res.Algorithm, res.Unfairness, ex.Unfairness)
@@ -309,7 +309,7 @@ func TestExhaustiveDominatesHeuristics(t *testing.T) {
 func TestTraceSteps(t *testing.T) {
 	ds := randomDataset(t, 150, 61)
 	e := mustEval(t, ds, Config{})
-	res := Balanced(e, nil)
+	res := runOn(t, e, "balanced", nil)
 	if len(res.Steps) == 0 {
 		t.Fatal("no trace steps")
 	}

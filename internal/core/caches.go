@@ -17,9 +17,9 @@ type rep struct {
 	id   uint32
 	data []float64
 	// qcdf is the fixed-point quantized CDF of data, filled at intern time
-	// when the evaluator's pruning cascade is active (binned EMD mode) so
-	// the bound kernels never touch float payloads. Nil when pruning is
-	// off; immutable once published like the rest of the rep.
+	// in binned EMD mode so the bound kernels never touch float payloads.
+	// Nil in Exact mode and under non-EMD metrics; immutable once
+	// published like the rest of the rep.
 	qcdf []int64
 }
 
@@ -39,8 +39,8 @@ type repCache struct {
 	next atomic.Uint32 // dense handles handed out so far
 	// quant, when non-nil, derives a rep's fixed-point quantized CDF from
 	// its payload at intern time. It is set once, before any intern, by
-	// evaluators whose pruning cascade is enabled; reps published while it
-	// is set carry a non-nil qcdf.
+	// binned-EMD evaluators; reps published while it is set carry a
+	// non-nil qcdf.
 	quant   func([]float64) []int64
 	byKey   [cacheShards]repKeyShard
 	byChild [cacheShards]repChildShard

@@ -15,7 +15,7 @@ import (
 // one partitioning under evaluation: its parts, their interned dense-handle
 // representations, and the flat upper triangle of pairwise distances whose
 // canonical-order reduction is the partitioning's unfairness. Evolving a
-// state — splitting every part on a candidate attribute (balanced probe),
+// state — splitting every part on a candidate attribute (exactProbe),
 // or replacing one part by its children against its siblings (unbalanced
 // decision) — computes only distances that touch changed parts; everything
 // else is copied from the existing triangle. Child representations are
@@ -164,143 +164,6 @@ func (e *Evaluator) scatterSplit(r *rep, p *partition.Partition, attr int) split
 	return splitPart{children: children, reps: reps}
 }
 
-// probe evaluates replacing every part with its children under attr — the
-// balanced-round / candidate-attribute operation. Only distances touching
-// changed parts are computed: a pair of two unchanged (aliased) parts
-// copies its distance from this state's triangle. withDist=false skips
-// the distance work entirely for callers that only need the final state
-// (all-attributes); workers bounds the concurrent distance fill.
-func (s *matState) probe(attr, workers int, withDist bool) *matState {
-	if s.canceled() {
-		// Return a structurally valid state so concurrent probeAll fan-outs
-		// finish without nil checks; the caller sees ctx.Err() and discards.
-		return s
-	}
-	e := s.e
-	e.tel.probes.Inc()
-	// Span phases: split (scatter pass), emd (fresh distance fill),
-	// reduce (canonical-order average). Zero-cost when no tracer rides
-	// the context; derived states keep s.ctx so later probes never
-	// attach to this probe's ended span.
-	pctx, psp := telemetry.StartSpan(s.ctx, "probe")
-	psp.SetInt("attribute", int64(attr))
-	k := len(s.parts)
-	_, ssp := telemetry.StartSpan(pctx, "split")
-	splits := make([]splitPart, k)
-	for i := range s.parts {
-		splits[i] = e.scatterSplit(s.reps[i], s.parts[i], attr)
-	}
-	ssp.SetInt("parents", int64(k))
-	ssp.End()
-	nk := 0
-	for i := range splits {
-		nk += len(splits[i].children)
-	}
-	ns := &matState{
-		e:     e,
-		parts: make([]*partition.Partition, 0, nk),
-		reps:  make([]*rep, 0, nk),
-		ctx:   s.ctx,
-	}
-	parent := make([]int32, 0, nk)
-	aliased := make([]bool, 0, nk)
-	for i := range splits {
-		ns.parts = append(ns.parts, splits[i].children...)
-		ns.reps = append(ns.reps, splits[i].reps...)
-		for range splits[i].children {
-			parent = append(parent, int32(i))
-			aliased = append(aliased, splits[i].aliased)
-		}
-	}
-	psp.SetInt("parts", int64(nk))
-	if !withDist {
-		psp.End()
-		return ns
-	}
-	nd := make([]float64, nk*(nk-1)/2)
-	var missing []pairRef
-	m := 0
-	for i := 0; i < nk; i++ {
-		for j := i + 1; j < nk; j++ {
-			if aliased[i] && aliased[j] && s.dist != nil {
-				nd[m] = s.dist[tri(k, int(parent[i]), int(parent[j]))]
-			} else {
-				missing = append(missing, pairRef{int32(m), int32(i), int32(j)})
-			}
-			m++
-		}
-	}
-	if len(missing) > 0 {
-		_, esp := telemetry.StartSpan(pctx, "emd")
-		parfill(len(missing), workers, func(lo, hi int) {
-			for x, t := range missing[lo:hi] {
-				if x&(ctxCheckStride-1) == ctxCheckStride-1 && s.canceled() {
-					return
-				}
-				nd[t.slot] = e.distOf(ns.reps[t.i].data, ns.reps[t.j].data)
-			}
-		})
-		esp.SetInt("pairs", int64(len(missing)))
-		esp.End()
-		e.pairs.misses.Add(int64(len(missing)))
-		e.tel.computed(int64(len(missing)))
-	}
-	e.copiedAcct(int64(len(nd) - len(missing)))
-	ns.dist = nd
-	_, rsp := telemetry.StartSpan(pctx, "reduce")
-	ns.avg = avgOf(nd)
-	rsp.SetInt("pairs", int64(len(nd)))
-	rsp.End()
-	psp.SetInt("pairs_fresh", int64(len(missing)))
-	psp.SetInt("pairs_copied", int64(len(nd)-len(missing)))
-	psp.End()
-	return ns
-}
-
-// probeAll probes every candidate attribute, fanning the scans across
-// Config.Parallelism goroutines; leftover parallelism is handed to each
-// probe's distance fill. Every probe's summation order is fixed, so the
-// results are identical to a serial scan.
-func (s *matState) probeAll(attrs []int) []*matState {
-	out := make([]*matState, len(attrs))
-	p := s.e.cfg.Parallelism
-	outer := p
-	if outer > len(attrs) {
-		outer = len(attrs)
-	}
-	inner := 1
-	if outer >= 1 && p > outer {
-		inner = p / outer
-	}
-	// One "scan" span per round; the concurrent probes become its
-	// children. Probing through a shallow copy whose ctx carries the
-	// scan span keeps this state's ctx clean for subsequent rounds.
-	src := s
-	sctx, sp := telemetry.StartSpan(s.ctx, "scan")
-	if sp != nil {
-		sp.SetInt("attrs", int64(len(attrs)))
-		sp.SetInt("parts", int64(len(s.parts)))
-		cp := *s
-		cp.ctx = sctx
-		src = &cp
-	}
-	parforeach(len(attrs), outer, func(x int) {
-		out[x] = src.probe(attrs[x], inner, true)
-	})
-	sp.End()
-	if sp != nil {
-		// Result states must not parent future spans under the ended
-		// scan span (a cancelled probe returns src itself, hence the
-		// second check).
-		for _, st := range out {
-			if st != nil && st != s {
-				st.ctx = s.ctx
-			}
-		}
-	}
-	return out
-}
-
 // single extracts part x as a standalone one-part state, the starting
 // point of the unbalanced local split decision.
 func (s *matState) single(x int) *matState {
@@ -395,8 +258,8 @@ func (s *matState) replaceFirst(children *matState) *matState {
 	return ns
 }
 
-// materialize fills the distance triangle of a state produced with
-// withDist=false, computing every pair concurrently when allowed.
+// materialize fills the distance triangle of a state assembled without
+// distances (childState), computing every pair concurrently when allowed.
 func (s *matState) materialize(workers int) {
 	if s.dist != nil {
 		return

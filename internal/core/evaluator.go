@@ -52,20 +52,6 @@ type Config struct {
 	// binned histogram EMD. More faithful, somewhat slower; ignores Bins,
 	// Ground and Metric.
 	Exact bool
-	// Prune enables the branch-and-bound pruning cascade (DESIGN.md §9):
-	// candidate-attribute scans bracket each probe's average with
-	// fixed-point lower/upper bound kernels and evaluate exactly only the
-	// candidates whose interval can still affect the argmax; the
-	// exhaustive solvers skip candidates provably below the running best;
-	// and very large pairwise averages bypass the shared pair cache.
-	// Results are bit-identical with pruning on or off — the bounds carry
-	// their quantization-error term, the winner of every decision is
-	// always evaluated exactly, and the differential suite pins the
-	// equivalence — so the knob trades nothing but bookkeeping detail
-	// (RunStats.PairsPruned vs computed/hit counts) for speed. Off by
-	// default; a no-op in Exact mode and under non-EMD metrics, whose
-	// distances the bounds do not cover. Excluded from Spec.Hash.
-	Prune bool
 	// Metrics, when non-nil, receives engine telemetry: EMD-evaluation
 	// and cache hit/miss counters, probe counts, and cache-occupancy
 	// gauges (aggregate and per shard). Several evaluators may share one
@@ -104,9 +90,6 @@ type Evaluator struct {
 	pairs *pairCache
 	tel   engineMetrics
 
-	// prune is the effective pruning gate: Config.Prune restricted to the
-	// modes the bound kernels cover (binned histograms under MetricEMD).
-	prune bool
 	// pruned and copied are always-on run-accounting counters (unlike the
 	// nil-gated telemetry mirrors): pair slots the cascade skipped, and
 	// triangle entries the delta paths copied. The session layer reports
@@ -151,10 +134,12 @@ func NewEvaluator(ds *dataset.Dataset, f scoring.Func, cfg Config) (*Evaluator, 
 	if !cfg.Exact {
 		e.binIdx = histogram.MustNew(cfg.Bins, 0, 1).BinIndices(e.scores)
 	}
-	e.prune = cfg.Prune && !cfg.Exact && cfg.Metric == emd.MetricEMD
-	if e.prune {
-		// Quantize every rep's CDF at intern time, before publication, so
-		// the bound kernels always find qcdf present and race-free.
+	if !cfg.Exact && cfg.Metric == emd.MetricEMD {
+		// The bound kernels cover binned EMD only. Quantize every rep's
+		// CDF at intern time, before publication, so they always find
+		// qcdf present and race-free. In Exact mode and under non-EMD
+		// metrics reps carry no qcdf, the bounds decline, and every
+		// candidate is evaluated exactly.
 		e.reps.quant = func(data []float64) []int64 {
 			q, ok := emd.FixedCDF(data, emd.FixedScale)
 			if !ok {

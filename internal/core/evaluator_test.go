@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -56,6 +57,17 @@ func mustEval(t *testing.T, ds *dataset.Dataset, cfg Config) *Evaluator {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// runOn runs a registered algorithm against e through Run, failing t on
+// error. The random baselines draw from Spec.Seed 0.
+func runOn(t testing.TB, e *Evaluator, alg string, attrs []int) *Result {
+	t.Helper()
+	res, err := Run(context.Background(), Spec{Algorithm: alg, Evaluator: e, Attrs: attrs})
+	if err != nil {
+		t.Fatalf("%s: %v", alg, err)
+	}
+	return res
 }
 
 func TestNewEvaluatorValidation(t *testing.T) {

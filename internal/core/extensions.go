@@ -14,8 +14,8 @@ import (
 // committing to the single worst attribute each round, it keeps the `width`
 // best frontier partitionings and expands each with every remaining
 // attribute, returning the best partitioning ever seen. width = 1 explores
-// the same path as Balanced (it may still return an earlier, better
-// frontier). This is an extension beyond the paper, motivated by its
+// the same path as the balanced algorithm (it may still return an earlier,
+// better frontier). This is an extension beyond the paper, motivated by its
 // observation that the greedy stopping condition can trap the search.
 func Beam(e *Evaluator, attrs []int, width int) (*Result, error) {
 	start := time.Now()
@@ -60,7 +60,7 @@ func Beam(e *Evaluator, attrs []int, width int) (*Result, error) {
 		}
 		probes := make([]*matState, len(tasks))
 		parforeach(len(tasks), p, func(i int) {
-			probes[i] = tasks[i].st.probe(tasks[i].a, inner, true)
+			probes[i] = tasks[i].st.probeLean(tasks[i].a, inner)
 		})
 		next := make([]state, len(tasks))
 		for i, t := range tasks {

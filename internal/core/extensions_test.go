@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"fairrank/internal/dataset"
@@ -21,7 +22,7 @@ func TestBeamValidAndAtLeastBalanced(t *testing.T) {
 	for seed := uint64(0); seed < 4; seed++ {
 		ds := randomDataset(t, 120, 200+seed)
 		e := mustEval(t, ds, Config{})
-		bal := Balanced(e, nil)
+		bal := runOn(t, e, "balanced", nil)
 		beam, err := Beam(e, nil, 3)
 		if err != nil {
 			t.Fatal(err)
@@ -40,7 +41,7 @@ func TestBeamValidAndAtLeastBalanced(t *testing.T) {
 func TestBeamBoundedByExhaustive(t *testing.T) {
 	ds := randomDataset(t, 60, 77)
 	e := mustEval(t, ds, Config{})
-	ex, err := Exhaustive(e, nil, 100000)
+	ex, err := exhaustiveCtx(context.Background(), e, nil, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestSignificanceDetectsDesignedBias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Balanced(e, nil)
+	res := runOn(t, e, "balanced", nil)
 	p, obs, err := Significance(e, res.Partitioning, 200, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +151,7 @@ func TestExactModeAlgorithmsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Balanced(e, nil)
+	res := runOn(t, e, "balanced", nil)
 	if err := res.Partitioning.Validate(ds); err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +198,11 @@ func TestExhaustiveCellsDominatesTreeExhaustive(t *testing.T) {
 	// both see the designed optimum.
 	ds := figure1Dataset(t)
 	e := mustEval(t, ds, Config{Bins: 10})
-	tree, err := Exhaustive(e, nil, 100000)
+	tree, err := exhaustiveCtx(context.Background(), e, nil, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := ExhaustiveCells(e, nil, 1000000)
+	cells, err := exhaustiveCellsCtx(context.Background(), e, nil, 1000000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestExhaustiveCellsBudget(t *testing.T) {
 	e := mustEval(t, ds, Config{})
 	// Gender×Language = 6 cells → Bell(6) = 203 groupings; budget 10 must
 	// trip.
-	if _, err := ExhaustiveCells(e, []int{0, 1}, 10); err != partition.ErrBudgetExceeded {
+	if _, err := exhaustiveCellsCtx(context.Background(), e, []int{0, 1}, 10); err != partition.ErrBudgetExceeded {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
 }
@@ -228,7 +229,7 @@ func TestMinPartitionSizeGuard(t *testing.T) {
 	// With a huge minimum, nothing can ever be split: every algorithm
 	// returns the root partitioning.
 	e := mustEval(t, ds, Config{MinPartitionSize: 1000})
-	for _, res := range []*Result{Balanced(e, nil), Unbalanced(e, nil), AllAttributes(e, nil)} {
+	for _, res := range []*Result{runOn(t, e, "balanced", nil), runOn(t, e, "unbalanced", nil), runOn(t, e, "all-attributes", nil)} {
 		if res.Partitioning.Size() != 1 {
 			t.Errorf("%s split despite MinPartitionSize: %d parts",
 				res.Algorithm, res.Partitioning.Size())
@@ -236,7 +237,7 @@ func TestMinPartitionSizeGuard(t *testing.T) {
 	}
 	// With a moderate minimum, all partitions respect it.
 	e2 := mustEval(t, ds, Config{MinPartitionSize: 10})
-	for _, res := range []*Result{Balanced(e2, nil), Unbalanced(e2, nil), AllAttributes(e2, nil)} {
+	for _, res := range []*Result{runOn(t, e2, "balanced", nil), runOn(t, e2, "unbalanced", nil), runOn(t, e2, "all-attributes", nil)} {
 		if err := res.Partitioning.Validate(ds); err != nil {
 			t.Fatalf("%s: %v", res.Algorithm, err)
 		}
@@ -249,7 +250,7 @@ func TestMinPartitionSizeGuard(t *testing.T) {
 	// Default (0 → 1) reproduces unguarded behavior.
 	e3 := mustEval(t, ds, Config{})
 	e4 := mustEval(t, ds, Config{MinPartitionSize: 1})
-	if Balanced(e3, nil).Unfairness != Balanced(e4, nil).Unfairness {
+	if runOn(t, e3, "balanced", nil).Unfairness != runOn(t, e4, "balanced", nil).Unfairness {
 		t.Error("MinPartitionSize default changed behavior")
 	}
 }

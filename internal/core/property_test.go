@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -40,7 +41,7 @@ func TestBalancedTraceMonotoneProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res := Balanced(e, nil)
+		res := runOn(t, e, "balanced", nil)
 		prev := -1.0
 		for _, s := range res.Steps {
 			if !s.Accepted {
@@ -72,14 +73,11 @@ func TestAlgorithmsAlwaysValidProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		results := []*Result{
-			Balanced(e, nil),
-			Unbalanced(e, nil),
-			RBalanced(e, nil, r),
-			RUnbalanced(e, nil, r),
-			AllAttributes(e, nil),
-		}
-		for _, res := range results {
+		for _, alg := range []string{"balanced", "unbalanced", "r-balanced", "r-unbalanced", "all-attributes"} {
+			res, err := Run(context.Background(), Spec{Algorithm: alg, Evaluator: e, Seed: seed})
+			if err != nil {
+				return false
+			}
 			if res.Partitioning.Validate(ds) != nil {
 				return false
 			}
@@ -107,7 +105,7 @@ func TestMinSizeGuardProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, res := range []*Result{Balanced(e, nil), Unbalanced(e, nil), AllAttributes(e, nil)} {
+		for _, res := range []*Result{runOn(t, e, "balanced", nil), runOn(t, e, "unbalanced", nil), runOn(t, e, "all-attributes", nil)} {
 			for _, p := range res.Partitioning.Parts {
 				if p.Size() < min && p.Size() != n {
 					// The root itself may be smaller than min only if

@@ -8,24 +8,29 @@ import (
 	"fairrank/internal/telemetry"
 )
 
-// This file implements the branch-and-bound pruning cascade (Config.Prune,
-// DESIGN.md §9). The paper's greedy choosers and exhaustive solvers only
-// ever consult a candidate partitioning's average pairwise EMD through
-// order comparisons — argmax over a candidate scan, or "does it beat the
-// running best". The cascade brackets each candidate's average with the
-// fixed-point kernels of internal/emd ([lo, hi] guaranteed to contain the
-// engine's float result, quantization error included) and evaluates
-// exactly only the candidates whose interval can still win the
-// comparison. Every decision the algorithms emit — chosen attributes,
-// trace averages, final unfairness — comes from an exact evaluation, so
-// pruned and unpruned runs are bit-identical; the differential suite
-// pins this across every registered algorithm.
+// This file implements the engine's search path: the branch-and-bound
+// pruning cascade (DESIGN.md §9). The paper's greedy choosers and
+// exhaustive solvers only ever consult a candidate partitioning's average
+// pairwise EMD through order comparisons — argmax over a candidate scan,
+// or "does it beat the running best". The cascade brackets each
+// candidate's average with the fixed-point kernels of internal/emd
+// ([lo, hi] guaranteed to contain the engine's float result, quantization
+// error included) and evaluates exactly only the candidates whose
+// interval can still win the comparison. Every decision the algorithms
+// emit — chosen attributes, trace averages, final unfairness — comes from
+// an exact evaluation, so results are bit-identical to an unbounded scan;
+// the differential suite pins this against a test-only reference engine
+// across every registered algorithm.
+//
+// The bounds cover binned EMD only. In Exact mode and under non-EMD
+// metrics reps carry no quantized CDF, every bound declines (ok=false),
+// and each candidate is evaluated exactly through the same exactProbe.
 //
 // Accounting follows a conservation law: a candidate's pair-slot count
 // nk·(nk−1)/2 is fixed by its partition structure, and every slot lands
 // in exactly one of {computed, cache hit, copied, pruned}. Pruning moves
 // slots between the buckets but never changes the per-candidate total,
-// which the accounting tests pin by comparing pruned and unpruned runs.
+// which the accounting tests pin against the reference engine.
 
 const (
 	// pruneKernelMinParts is the child-part count below which a candidate
@@ -33,11 +38,11 @@ const (
 	// triangles cost less than the bound would, and routing them through
 	// the exact path keeps small unit-test workloads exercising it.
 	pruneKernelMinParts = 48
-	// cacheBypassPairs is the pair count above which a pruned final
-	// average skips the shared pair cache entirely: at that size the
-	// per-pair mutex+map traffic dominates the distance arithmetic
-	// (pairCache.put was 65% of the unbalanced Table 2 profile), and a
-	// terminal average has no later consumer for the cached entries.
+	// cacheBypassPairs is the pair count above which a final average
+	// skips the shared pair cache entirely: at that size the per-pair
+	// mutex+map traffic dominates the distance arithmetic (pairCache.put
+	// was 65% of the unbalanced Table 2 profile), and a terminal average
+	// has no later consumer for the cached entries.
 	cacheBypassPairs = 1 << 16
 	// exhaustiveBoundMinParts is the candidate part count above which the
 	// exhaustive solvers bound before evaluating. Below it the exact
@@ -71,15 +76,6 @@ func (e *Evaluator) copiedAcct(n int64) {
 func (e *Evaluator) prunedAcct(n int64) {
 	e.pruned.Add(n)
 	e.tel.pairsPruned.Add(n)
-}
-
-// worstChooser returns the greedy attribute chooser honoring the
-// evaluator's pruning gate.
-func (e *Evaluator) worstChooser() chooser {
-	if e.prune {
-		return worstAttributePruned
-	}
-	return worstAttribute
 }
 
 // scatterAll runs the scatter-split pass of a probe — every part split on
@@ -126,13 +122,31 @@ func (s *matState) boundOfSplits(splits []splitPart) (lo, hi float64, ok bool) {
 	return lo, hi, true
 }
 
-// exactProbe is probe's exact-fill half over precomputed splits, with a
-// leaner inner loop: rows of the fresh triangle are filled in place under
-// parforeach — no per-pair work list (whose append-driven growth was 40%
-// of the balanced Table 2 profile as runtime.growslice memmove). Distances
-// and accounting are identical to probe: aliased×aliased pairs copy from
-// this state's triangle, everything else goes through distOf, and the
-// average reduces serially in canonical slot order — bit-identical results.
+// childState assembles the state whose parts are the splits' children,
+// in split order, without any distance work.
+func (s *matState) childState(splits []splitPart, nk int) *matState {
+	ns := &matState{
+		e:     s.e,
+		parts: make([]*partition.Partition, 0, nk),
+		reps:  make([]*rep, 0, nk),
+		ctx:   s.ctx,
+	}
+	for i := range splits {
+		ns.parts = append(ns.parts, splits[i].children...)
+		ns.reps = append(ns.reps, splits[i].reps...)
+	}
+	return ns
+}
+
+// exactProbe evaluates replacing every part with its precomputed splits —
+// the balanced-round / candidate-attribute operation. Rows of the fresh
+// triangle are filled in place under parforeach, with no per-pair work
+// list (whose append-driven growth was 40% of the balanced Table 2
+// profile as runtime.growslice memmove). Only distances touching changed
+// parts are computed: aliased×aliased pairs copy from this state's
+// triangle, everything else goes through distOf, and the average reduces
+// serially in canonical slot order — bit-identical to from-scratch
+// evaluation.
 func (s *matState) exactProbe(attr int, splits []splitPart, nk, workers int) *matState {
 	if s.canceled() {
 		return s
@@ -141,18 +155,11 @@ func (s *matState) exactProbe(attr int, splits []splitPart, nk, workers int) *ma
 	pctx, psp := telemetry.StartSpan(s.ctx, "probe")
 	psp.SetInt("attribute", int64(attr))
 	k := len(s.parts)
-	ns := &matState{
-		e:     e,
-		parts: make([]*partition.Partition, 0, nk),
-		reps:  make([]*rep, 0, nk),
-		ctx:   s.ctx,
-	}
+	ns := s.childState(splits, nk)
 	parent := make([]int32, 0, nk)
 	aliased := make([]bool, 0, nk)
 	nAliased := 0
 	for i := range splits {
-		ns.parts = append(ns.parts, splits[i].children...)
-		ns.reps = append(ns.reps, splits[i].reps...)
 		for range splits[i].children {
 			parent = append(parent, int32(i))
 			aliased = append(aliased, splits[i].aliased)
@@ -205,10 +212,9 @@ func (s *matState) exactProbe(attr int, splits []splitPart, nk, workers int) *ma
 	return ns
 }
 
-// probeLean is probe (scatter + exact fill + reduce) through the lean
-// exactProbe path; used by the random choosers when pruning is on — a
-// single random candidate offers nothing to prune, but the allocation-free
-// fill still applies.
+// probeLean probes one candidate attribute (scatter + exact fill +
+// reduce) with no bound tier; used by the random choosers and beam
+// search, whose single candidates offer nothing to prune.
 func (s *matState) probeLean(attr, workers int) *matState {
 	if s.canceled() {
 		return s
@@ -218,9 +224,12 @@ func (s *matState) probeLean(attr, workers int) *matState {
 	return s.exactProbe(attr, splits, nk, workers)
 }
 
-// worstAttributePruned is worstAttribute under the pruning cascade. Phase
-// one scatters every candidate and brackets large ones with the
-// fixed-point kernel (small ones evaluate exactly right away). Phase two
+// worstAttributePruned is the paper's greedy choice: split on the remaining
+// attribute whose split yields the highest average pairwise distance, ties
+// breaking toward the lowest attribute index, so runs are deterministic
+// regardless of the concurrent scan order. Phase one scatters every
+// candidate and brackets large ones with the fixed-point kernel (small
+// ones evaluate exactly right away). Phase two
 // takes maxLo — the highest candidate lower bound, where exactified
 // candidates contribute their exact average — and skips every candidate
 // whose upper bound is strictly below it: such a candidate's float
@@ -228,7 +237,7 @@ func (s *matState) probeLean(attr, workers int) *matState {
 // earliest-index argmax cannot select it, not even on a tie. Survivors
 // are evaluated exactly in scan order; the returned state is always an
 // exact evaluation, so downstream decisions and traces are bit-identical
-// to the unpruned scan.
+// to an unbounded scan.
 func worstAttributePruned(s *matState, attrs []int) (int, *matState) {
 	e := s.e
 	p := e.cfg.Parallelism
@@ -282,7 +291,7 @@ func worstAttributePruned(s *matState, attrs []int) (int, *matState) {
 	}
 	if s.canceled() {
 		// Structurally valid return; the algorithm layer sees ctx.Err()
-		// and discards it, mirroring probe's cancellation contract.
+		// and discards it, mirroring exactProbe's cancellation contract.
 		return attrs[0], s
 	}
 	maxLo := cands[0].lo
@@ -323,14 +332,14 @@ func worstAttributePruned(s *matState, attrs []int) (int, *matState) {
 }
 
 // avgPairwiseAuto is AvgPairwise that bypasses the shared pair cache for
-// very large terminal averages when pruning is on. The bypass computes
+// very large terminal averages. The bypass computes
 // every distance directly (same distOf, same canonical serial reduction),
 // so the value is bit-identical; only the accounting split differs — all
 // slots count as computed instead of hit-or-computed — which the slot
 // conservation law still balances.
 func (e *Evaluator) avgPairwiseAuto(parts []*partition.Partition) float64 {
 	k := len(parts)
-	if !e.prune || k*(k-1)/2 < cacheBypassPairs {
+	if k*(k-1)/2 < cacheBypassPairs {
 		return e.AvgPairwise(parts)
 	}
 	reps := make([]*rep, k)
@@ -368,8 +377,8 @@ func (e *Evaluator) avgRepsDirect(reps []*rep) float64 {
 }
 
 // unfairnessBounded is unfairnessCtx with branch-and-bound for the
-// exhaustive solvers: when pruning is on and the candidate is large
-// enough, its average is bracketed first, and a candidate whose upper
+// exhaustive solvers: when the candidate is large enough, its average is
+// bracketed first, and a candidate whose upper
 // bound is ≤ best is skipped (the solvers keep a candidate only on
 // u > best, and u ≤ hi ≤ best makes that impossible — ties included, so
 // the earliest-wins selection is preserved exactly). skipped=true means
@@ -389,7 +398,7 @@ func (e *Evaluator) unfairnessBounded(ctx context.Context, pt *partition.Partiti
 		}
 		reps[i] = e.repFor(p)
 	}
-	if e.prune && k >= exhaustiveBoundMinParts {
+	if k >= exhaustiveBoundMinParts {
 		if _, hi, ok := e.boundOfReps(reps); ok && hi <= best {
 			e.prunedAcct(int64(k) * int64(k-1) / 2)
 			return 0, true

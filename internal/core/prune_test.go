@@ -12,14 +12,15 @@ import (
 	"fairrank/internal/testkit"
 )
 
-// Tests for the branch-and-bound pruning cascade (Config.Prune): the
-// differential pruned≡unpruned oracle across every registered algorithm,
-// the pair-slot conservation law, the gate conditions, and the Spec.Hash
-// exclusion. The equivalence checks compare exact floats and full traces —
-// the contract is bit-identical, not approximately equal.
+// Tests for the branch-and-bound pruning cascade, the engine's only search
+// path: the differential default≡reference oracle across every registered
+// algorithm and comparison mode, the pair-slot conservation law, and the
+// mode gate of the bound tier. The reference is the unbounded scan of
+// refengine_test.go. The equivalence checks compare exact floats and full
+// traces — the contract is bit-identical, not approximately equal.
 
 // pruneDigest is the full observable outcome of one run, compared deeply
-// across the prune on/off pair.
+// across the reference/default pair.
 type pruneDigest struct {
 	Unfairness float64
 	Steps      []TraceStep
@@ -28,10 +29,11 @@ type pruneDigest struct {
 }
 
 // digestRun executes spec against a fresh evaluator (never sharing caches
-// with the paired run) and digests the result.
-func digestRun(t *testing.T, spec Spec) pruneDigest {
+// with the paired run) through the default engine, or the reference engine
+// when reference is set, and digests the result.
+func digestRun(t *testing.T, spec Spec, reference bool) pruneDigest {
 	t.Helper()
-	res, err := Run(context.Background(), spec)
+	res, err := engineRun(reference)(context.Background(), spec)
 	if err != nil {
 		return pruneDigest{Err: err.Error()}
 	}
@@ -42,6 +44,14 @@ func digestRun(t *testing.T, spec Spec) pruneDigest {
 		}
 	}
 	return d
+}
+
+// engineRun returns RunReference when reference is set, Run otherwise.
+func engineRun(reference bool) func(context.Context, Spec) (*Result, error) {
+	if reference {
+		return RunReference
+	}
+	return Run
 }
 
 // pruneDataset builds a population whose score depends on every protected
@@ -114,10 +124,21 @@ func wideDataset(t *testing.T, n int) *dataset.Dataset {
 	return ds
 }
 
-// The differential oracle: every registered algorithm, run pruned and
-// unpruned on generated datasets, must produce bit-identical results —
-// unfairness, full trace, and the partitioning itself.
+// The differential oracle: every registered algorithm, run through the
+// default engine and the reference engine on generated datasets, must
+// produce bit-identical results — unfairness, full trace, and the
+// partitioning itself — in binned EMD mode (where the bounds fire), in
+// Exact mode and under a non-EMD metric (where every candidate goes
+// through exactProbe instead of the reference probe).
 func TestPrunedEquivalenceAllAlgorithms(t *testing.T) {
+	modes := []struct {
+		name string
+		cfg  Config
+	}{
+		{"emd", Config{Bins: 10}},
+		{"exact", Config{Exact: true}},
+		{"l1", Config{Bins: 10, Metric: emd.MetricL1}},
+	}
 	for seed := uint64(1); seed <= 6; seed++ {
 		g := testkit.NewGen(seed)
 		ds, err := g.WorkerDataset(g.R.IntRange(40, 250))
@@ -125,30 +146,32 @@ func TestPrunedEquivalenceAllAlgorithms(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		nAttrs := len(ds.Schema().Protected)
-		testkit.CheckVariantEquivalence(t, "prune", Algorithms(), func(name string, on bool) any {
-			spec := Spec{
-				Algorithm: name,
-				Dataset:   ds,
-				Func:      testkit.ScoreFunc(),
-				Config:    Config{Bins: 10, Prune: on},
-				Seed:      seed,
-			}
-			if name == "exhaustive" || name == "exhaustive-cells" {
-				// Bound the enumeration: tree spaces over >2 attributes and
-				// cell-grouping spaces are astronomically large; both variants
-				// must then fail identically with the budget error.
-				attrs := nAttrs
-				if attrs > 2 {
-					attrs = 2
+		for _, m := range modes {
+			testkit.CheckVariantEquivalence(t, "engine("+m.name+")", Algorithms(), func(name string, on bool) any {
+				spec := Spec{
+					Algorithm: name,
+					Dataset:   ds,
+					Func:      testkit.ScoreFunc(),
+					Config:    m.cfg,
+					Seed:      seed,
 				}
-				spec.Attrs = make([]int, attrs)
-				for i := range spec.Attrs {
-					spec.Attrs[i] = i
+				if name == "exhaustive" || name == "exhaustive-cells" {
+					// Bound the enumeration: tree spaces over >2 attributes and
+					// cell-grouping spaces are astronomically large; both
+					// engines must then fail identically with the budget error.
+					attrs := nAttrs
+					if attrs > 2 {
+						attrs = 2
+					}
+					spec.Attrs = make([]int, attrs)
+					for i := range spec.Attrs {
+						spec.Attrs[i] = i
+					}
+					spec.Budget = 500
 				}
-				spec.Budget = 500
-			}
-			return digestRun(t, spec)
-		})
+				return digestRun(t, spec, !on)
+			})
+		}
 	}
 }
 
@@ -159,27 +182,25 @@ func TestPrunedEquivalenceAllAlgorithms(t *testing.T) {
 func TestPruneFiresOnDeepScan(t *testing.T) {
 	ds := pruneDataset(t, 2000, 5)
 	for _, alg := range []string{"balanced", "unbalanced"} {
-		run := func(on bool) (*Result, error) {
-			return Run(context.Background(), Spec{
-				Algorithm: alg,
-				Dataset:   ds,
-				Func:      testkit.ScoreFunc(),
-				Config:    Config{Bins: 10, Prune: on},
-			})
+		spec := Spec{
+			Algorithm: alg,
+			Dataset:   ds,
+			Func:      testkit.ScoreFunc(),
+			Config:    Config{Bins: 10},
 		}
-		base, err := run(false)
+		base, err := RunReference(context.Background(), spec)
 		if err != nil {
-			t.Fatalf("%s unpruned: %v", alg, err)
+			t.Fatalf("%s reference: %v", alg, err)
 		}
-		pruned, err := run(true)
+		pruned, err := Run(context.Background(), spec)
 		if err != nil {
-			t.Fatalf("%s pruned: %v", alg, err)
+			t.Fatalf("%s default: %v", alg, err)
 		}
 		if base.Unfairness != pruned.Unfairness {
-			t.Fatalf("%s: unfairness %v (unpruned) vs %v (pruned)", alg, base.Unfairness, pruned.Unfairness)
+			t.Fatalf("%s: unfairness %v (reference) vs %v (default)", alg, base.Unfairness, pruned.Unfairness)
 		}
 		if len(base.Steps) != len(pruned.Steps) {
-			t.Fatalf("%s: %d steps unpruned vs %d pruned", alg, len(base.Steps), len(pruned.Steps))
+			t.Fatalf("%s: %d steps reference vs %d default", alg, len(base.Steps), len(pruned.Steps))
 		}
 		for i := range base.Steps {
 			if base.Steps[i] != pruned.Steps[i] {
@@ -187,7 +208,7 @@ func TestPruneFiresOnDeepScan(t *testing.T) {
 			}
 		}
 		if base.Stats.PairsPruned != 0 {
-			t.Fatalf("%s: unpruned run reported %d pruned pairs", alg, base.Stats.PairsPruned)
+			t.Fatalf("%s: reference run reported %d pruned pairs", alg, base.Stats.PairsPruned)
 		}
 		// Candidate-scan pruning only applies to multi-part scans: balanced
 		// scans the whole frontier (nk grows past pruneKernelMinParts), while
@@ -198,7 +219,7 @@ func TestPruneFiresOnDeepScan(t *testing.T) {
 				t.Fatalf("%s: pruning never fired (computed=%d) — dataset or thresholds regressed", alg, pruned.Stats.PairsComputed)
 			}
 			if pruned.Stats.PairsComputed >= base.Stats.PairsComputed {
-				t.Fatalf("%s: pruned run computed %d pairs, unpruned %d — no work saved", alg, pruned.Stats.PairsComputed, base.Stats.PairsComputed)
+				t.Fatalf("%s: default run computed %d pairs, reference %d — no work saved", alg, pruned.Stats.PairsComputed, base.Stats.PairsComputed)
 			}
 		}
 	}
@@ -208,24 +229,24 @@ func TestPruneFiresOnDeepScan(t *testing.T) {
 // on candidates past exhaustiveBoundMinParts.
 func TestPruneExhaustiveBranchAndBound(t *testing.T) {
 	ds := wideDataset(t, 900)
-	run := func(on bool) *Result {
-		res, err := Run(context.Background(), Spec{
+	run := func(reference bool) *Result {
+		res, err := engineRun(reference)(context.Background(), Spec{
 			Algorithm: "exhaustive",
 			Dataset:   ds,
 			Func:      testkit.ScoreFunc(),
-			Config:    Config{Bins: 10, Prune: on},
+			Config:    Config{Bins: 10},
 		})
 		if err != nil {
-			t.Fatalf("exhaustive (prune=%v): %v", on, err)
+			t.Fatalf("exhaustive (reference=%v): %v", reference, err)
 		}
 		return res
 	}
-	base, pruned := run(false), run(true)
+	base, pruned := run(true), run(false)
 	if base.Unfairness != pruned.Unfairness {
 		t.Fatalf("unfairness %v vs %v", base.Unfairness, pruned.Unfairness)
 	}
 	if len(base.Partitioning.Parts) != len(pruned.Partitioning.Parts) {
-		t.Fatalf("winner has %d parts unpruned vs %d pruned", len(base.Partitioning.Parts), len(pruned.Partitioning.Parts))
+		t.Fatalf("winner has %d parts reference vs %d default", len(base.Partitioning.Parts), len(pruned.Partitioning.Parts))
 	}
 	for i := range base.Partitioning.Parts {
 		if base.Partitioning.Parts[i].Key() != pruned.Partitioning.Parts[i].Key() {
@@ -238,25 +259,25 @@ func TestPruneExhaustiveBranchAndBound(t *testing.T) {
 }
 
 // The slot conservation law: every pair slot a run touches is exactly one
-// of computed, cache hit, copied, or pruned — so the four-bucket sum is
-// invariant across pruning on/off for the same spec. Checked both through
-// RunStats and through the telemetry registry, which must mirror the
-// stats exactly.
+// of computed, cache hit, copied, or pruned — so the four-bucket sum of a
+// default run equals the reference run's for the same spec. Checked both
+// through RunStats and through the telemetry registry, which must mirror
+// the stats exactly.
 func TestPruneSlotConservation(t *testing.T) {
 	ds := pruneDataset(t, 1200, 4)
 	for _, alg := range []string{"balanced", "unbalanced", "r-balanced", "r-unbalanced", "all-attributes"} {
 		var sums [2]int
-		for i, on := range []bool{false, true} {
+		for i, reference := range []bool{true, false} {
 			reg := telemetry.NewRegistry()
-			res, err := Run(context.Background(), Spec{
+			res, err := engineRun(reference)(context.Background(), Spec{
 				Algorithm: alg,
 				Dataset:   ds,
 				Func:      testkit.ScoreFunc(),
-				Config:    Config{Bins: 10, Prune: on, Metrics: reg},
+				Config:    Config{Bins: 10, Metrics: reg},
 				Seed:      3,
 			})
 			if err != nil {
-				t.Fatalf("%s (prune=%v): %v", alg, on, err)
+				t.Fatalf("%s (reference=%v): %v", alg, reference, err)
 			}
 			s := res.Stats
 			sums[i] = s.PairsComputed + s.CacheHits + s.PairsCopied + s.PairsPruned
@@ -270,17 +291,17 @@ func TestPruneSlotConservation(t *testing.T) {
 				MetricPairsPruned:    s.PairsPruned,
 			} {
 				if got := snap.Counters[metric]; got != int64(want) {
-					t.Fatalf("%s (prune=%v): %s = %d, RunStats says %d", alg, on, metric, got, want)
+					t.Fatalf("%s (reference=%v): %s = %d, RunStats says %d", alg, reference, metric, got, want)
 				}
 			}
-			if on && s.PairsPruned > 0 {
+			if s.PairsPruned > 0 {
 				if snap.Counters[MetricBoundProbes] == 0 {
 					t.Fatalf("%s: pairs pruned without any bound probes", alg)
 				}
 			}
 		}
 		if sums[0] != sums[1] {
-			t.Fatalf("%s: slot total %d unpruned vs %d pruned — conservation violated", alg, sums[0], sums[1])
+			t.Fatalf("%s: slot total %d reference vs %d default — conservation violated", alg, sums[0], sums[1])
 		}
 	}
 }
@@ -290,11 +311,11 @@ func TestPruneSlotConservation(t *testing.T) {
 // same candidate against a losing best evaluates to the exact unfairness.
 func TestUnfairnessBoundedContract(t *testing.T) {
 	ds := wideDataset(t, 600)
-	e, err := NewEvaluator(ds, testkit.ScoreFunc(), Config{Bins: 10, Prune: true})
+	e, err := NewEvaluator(ds, testkit.ScoreFunc(), Config{Bins: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := AllAttributes(e, nil) // the 36-part full split
+	res := runOn(t, e, "all-attributes", nil) // the 36-part full split
 	pt := res.Partitioning
 	k := len(pt.Parts)
 	if k < exhaustiveBoundMinParts {
@@ -320,53 +341,42 @@ func TestUnfairnessBoundedContract(t *testing.T) {
 	}
 }
 
-// The gate: Prune is inert outside binned-EMD mode and off by default.
+// The gate: the bound tier is derived from the comparison mode, not set by
+// a knob. Binned EMD evaluators quantize reps for the kernels; Exact mode
+// and non-EMD metrics carry no quantized CDF, so no bound fires and the
+// run reports no pruned slots. Reference evaluators never quantize.
 func TestPruneGate(t *testing.T) {
-	g := testkit.NewGen(5)
-	ds, err := g.WorkerDataset(60)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := pruneDataset(t, 1200, 4)
 	cases := []struct {
 		name string
 		cfg  Config
 		want bool
 	}{
-		{"default-off", Config{}, false},
-		{"on", Config{Prune: true}, true},
-		{"exact-mode", Config{Prune: true, Exact: true}, false},
-		{"non-emd-metric", Config{Prune: true, Metric: emd.MetricL1}, false},
+		{"binned-emd", Config{}, true},
+		{"exact-mode", Config{Exact: true}, false},
+		{"non-emd-metric", Config{Metric: emd.MetricL1}, false},
 	}
 	for _, c := range cases {
 		e, err := NewEvaluator(ds, testkit.ScoreFunc(), c.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if e.prune != c.want {
-			t.Fatalf("%s: prune gate = %v, want %v", c.name, e.prune, c.want)
-		}
 		if got := e.reps.quant != nil; got != c.want {
 			t.Fatalf("%s: quantizer installed = %v, want %v", c.name, got, c.want)
 		}
-	}
-}
-
-// Prune cannot affect results, so it must not affect the audit identity.
-func TestSpecHashIgnoresPrune(t *testing.T) {
-	g := testkit.NewGen(9)
-	ds, err := g.WorkerDataset(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Spec{Dataset: ds, Func: testkit.ScoreFunc(), Config: Config{Bins: 10}}
-	withPrune := base
-	withPrune.Config.Prune = true
-	if base.Hash() != withPrune.Hash() {
-		t.Fatal("Spec.Hash changed with Config.Prune")
-	}
-	other := base
-	other.Config.Bins = 12
-	if base.Hash() == other.Hash() {
-		t.Fatal("Spec.Hash ignored Config.Bins (sanity check)")
+		ref, err := newReferenceEvaluator(Spec{Evaluator: e})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if ref.reps.quant != nil {
+			t.Fatalf("%s: reference evaluator installed a quantizer", c.name)
+		}
+		res, err := Run(context.Background(), Spec{Algorithm: "balanced", Evaluator: e})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if fired := res.Stats.PairsPruned > 0; fired != c.want {
+			t.Fatalf("%s: pruned %d slots, want bound tier active = %v", c.name, res.Stats.PairsPruned, c.want)
+		}
 	}
 }

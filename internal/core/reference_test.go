@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -268,15 +269,24 @@ func TestEngineMatchesReference(t *testing.T) {
 					re := mustEval(t, ds, tc.cfg)
 					compareResults(t, name, engine(e), ref(re))
 				}
-				run("balanced", func(e *Evaluator) *Result { return Balanced(e, nil) },
+				bg := context.Background()
+				must := func(res *Result, err error) *Result {
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				run("balanced", func(e *Evaluator) *Result { return runOn(t, e, "balanced", nil) },
 					func(e *Evaluator) *Result { return refBalanced(e, e.Attrs(), refWorst) })
-				run("unbalanced", func(e *Evaluator) *Result { return Unbalanced(e, nil) },
+				run("unbalanced", func(e *Evaluator) *Result { return runOn(t, e, "unbalanced", nil) },
 					func(e *Evaluator) *Result { return refUnbalanced(e, e.Attrs(), refWorst) })
-				run("r-balanced", func(e *Evaluator) *Result { return RBalanced(e, nil, rng.New(seed)) },
-					func(e *Evaluator) *Result { return refBalanced(e, e.Attrs(), refRandom(rng.New(seed))) })
-				run("r-unbalanced", func(e *Evaluator) *Result { return RUnbalanced(e, nil, rng.New(seed)) },
-					func(e *Evaluator) *Result { return refUnbalanced(e, e.Attrs(), refRandom(rng.New(seed))) })
-				run("all-attributes", func(e *Evaluator) *Result { return AllAttributes(e, nil) },
+				run("r-balanced", func(e *Evaluator) *Result {
+					return must(balancedWith(bg, e, nil, randomAttribute(rng.New(seed)), "r-balanced", nil))
+				}, func(e *Evaluator) *Result { return refBalanced(e, e.Attrs(), refRandom(rng.New(seed))) })
+				run("r-unbalanced", func(e *Evaluator) *Result {
+					return must(unbalancedWith(bg, e, nil, randomAttribute(rng.New(seed)), e.avgPairwiseAuto, "r-unbalanced", nil))
+				}, func(e *Evaluator) *Result { return refUnbalanced(e, e.Attrs(), refRandom(rng.New(seed))) })
+				run("all-attributes", func(e *Evaluator) *Result { return runOn(t, e, "all-attributes", nil) },
 					func(e *Evaluator) *Result { return refAllAttributes(e, e.Attrs()) })
 				run("beam", func(e *Evaluator) *Result { r, _ := Beam(e, nil, 2); return r },
 					func(e *Evaluator) *Result { return refBeam(e, e.Attrs(), 2) })

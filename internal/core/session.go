@@ -83,12 +83,12 @@ type RunStats struct {
 	// re-fetching.
 	PairsCopied int
 	// PairsPruned is how many pair slots the branch-and-bound cascade
-	// (Config.Prune) skipped outright — slots that were neither computed,
-	// copied, nor served from the cache. Always 0 with pruning off. For
-	// any fixed Spec, PairsComputed + CacheHits + PairsCopied +
-	// PairsPruned is invariant across pruning on/off: pruning moves slots
-	// between buckets, never changes the total (the conservation law the
-	// accounting tests pin).
+	// skipped outright — slots that were neither computed, copied, nor
+	// served from the cache. Always 0 in Exact mode and under non-EMD
+	// metrics, where no bound applies. For any fixed Spec, PairsComputed +
+	// CacheHits + PairsCopied + PairsPruned equals the slot total of an
+	// unbounded scan: pruning moves slots between buckets, never changes
+	// the total (the conservation law the accounting tests pin).
 	PairsPruned int
 	// Rounds is the number of splitting decisions traced (len(Steps)).
 	Rounds int
@@ -161,7 +161,14 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return runWith(ctx, spec, name, fn)
+}
+
+// runWith is Run after algorithm resolution: it builds (or reuses) the
+// evaluator, runs fn under ctx, and attaches the per-run stats.
+func runWith(ctx context.Context, spec Spec, name string, fn RunFunc) (*Result, error) {
 	e := spec.Evaluator
+	var err error
 	if e == nil {
 		if e, err = NewEvaluator(spec.Dataset, spec.Func, spec.Config); err != nil {
 			return nil, err
@@ -200,16 +207,16 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 
 func init() {
 	Register("balanced", func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
-		return balancedWith(ctx, e, spec.Attrs, e.worstChooser(), "balanced", spec.Progress)
+		return balancedWith(ctx, e, spec.Attrs, worstAttributePruned, "balanced", spec.Progress)
 	})
 	Register("r-balanced", func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
 		return balancedWith(ctx, e, spec.Attrs, randomAttribute(rng.New(spec.Seed+1)), "r-balanced", spec.Progress)
 	})
 	Register("unbalanced", func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
-		return unbalancedWith(ctx, e, spec.Attrs, e.worstChooser(), "unbalanced", spec.Progress)
+		return unbalancedWith(ctx, e, spec.Attrs, worstAttributePruned, e.avgPairwiseAuto, "unbalanced", spec.Progress)
 	})
 	Register("r-unbalanced", func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
-		return unbalancedWith(ctx, e, spec.Attrs, randomAttribute(rng.New(spec.Seed+2)), "r-unbalanced", spec.Progress)
+		return unbalancedWith(ctx, e, spec.Attrs, randomAttribute(rng.New(spec.Seed+2)), e.avgPairwiseAuto, "r-unbalanced", spec.Progress)
 	})
 	Register("all-attributes", func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
 		return allAttributesCtx(ctx, e, spec.Attrs, spec.Progress)

@@ -64,17 +64,32 @@ func TestRegisterPanics(t *testing.T) {
 	mustPanic("balanced", noop) // duplicate
 }
 
-// TestRunMatchesDirect pins the registry dispatch to the direct entry
-// points, including the documented seed derivations for the random
+// TestRunMatchesDirect pins the registry dispatch to the unexported
+// algorithm functions, including the documented seed derivations for the random
 // baselines (r-balanced from Seed+1, r-unbalanced from Seed+2).
 func TestRunMatchesDirect(t *testing.T) {
 	ds := randomDataset(t, 300, 5)
+	bg := context.Background()
+	must := func(res *Result, err error) *Result {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 	direct := map[string]func(e *Evaluator) *Result{
-		"balanced":       func(e *Evaluator) *Result { return Balanced(e, nil) },
-		"unbalanced":     func(e *Evaluator) *Result { return Unbalanced(e, nil) },
-		"all-attributes": func(e *Evaluator) *Result { return AllAttributes(e, nil) },
-		"r-balanced":     func(e *Evaluator) *Result { return RBalanced(e, nil, rng.New(8)) },
-		"r-unbalanced":   func(e *Evaluator) *Result { return RUnbalanced(e, nil, rng.New(9)) },
+		"balanced": func(e *Evaluator) *Result {
+			return must(balancedWith(bg, e, nil, worstAttributePruned, "balanced", nil))
+		},
+		"unbalanced": func(e *Evaluator) *Result {
+			return must(unbalancedWith(bg, e, nil, worstAttributePruned, e.avgPairwiseAuto, "unbalanced", nil))
+		},
+		"all-attributes": func(e *Evaluator) *Result { return must(allAttributesCtx(bg, e, nil, nil)) },
+		"r-balanced": func(e *Evaluator) *Result {
+			return must(balancedWith(bg, e, nil, randomAttribute(rng.New(8)), "r-balanced", nil))
+		},
+		"r-unbalanced": func(e *Evaluator) *Result {
+			return must(unbalancedWith(bg, e, nil, randomAttribute(rng.New(9)), e.avgPairwiseAuto, "r-unbalanced", nil))
+		},
 	}
 	for name, run := range direct {
 		want := run(mustEval(t, ds, Config{}))
@@ -110,7 +125,10 @@ func TestRunDefaults(t *testing.T) {
 	if res.Algorithm != "balanced" {
 		t.Errorf("default algorithm = %q, want balanced", res.Algorithm)
 	}
-	want := Balanced(mustEval(t, ds, Config{Bins: 10}), nil)
+	want, err := balancedWith(context.Background(), mustEval(t, ds, Config{Bins: 10}), nil, worstAttributePruned, "balanced", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Unfairness != want.Unfairness {
 		t.Errorf("built-evaluator run %v != direct %v", res.Unfairness, want.Unfairness)
 	}

@@ -59,18 +59,18 @@ func TestExactWpMatchesWpFlow(t *testing.T) {
 		xs := g.Scores(g.R.IntRange(1, 30))
 		ys := g.Scores(g.R.IntRange(1, 30))
 		for _, p := range []float64{1, 2} {
-			got, err := ExactWp(xs, ys, p)
+			got, err := testkit.ExactWp(xs, ys, p)
 			if err != nil {
-				t.Fatalf("seed %d: ExactWp(p=%v): %v", seed, p, err)
+				t.Fatalf("seed %d: testkit.ExactWp(p=%v): %v", seed, p, err)
 			}
 			want := o.WpFlow(xs, ys, p)
 			if math.Abs(got-want) > testkit.Tol {
-				t.Fatalf("seed %d: ExactWp(p=%v) = %v, flow oracle = %v", seed, p, got, want)
+				t.Fatalf("seed %d: testkit.ExactWp(p=%v) = %v, flow oracle = %v", seed, p, got, want)
 			}
 		}
-		w1, _ := ExactWp(xs, ys, 1)
+		w1, _ := testkit.ExactWp(xs, ys, 1)
 		if ex := Exact1D(xs, ys); math.Abs(w1-ex) > testkit.Tol {
-			t.Fatalf("seed %d: ExactWp(p=1) = %v, Exact1D = %v", seed, w1, ex)
+			t.Fatalf("seed %d: testkit.ExactWp(p=1) = %v, Exact1D = %v", seed, w1, ex)
 		}
 	}
 }
@@ -85,12 +85,12 @@ func TestExactWpRejectsNonFinite(t *testing.T) {
 		{{0.1, math.Inf(-1)}, {0.5}},
 	}
 	for i, pair := range bad {
-		if _, err := ExactWp(pair[0], pair[1], 1); err == nil {
+		if _, err := testkit.ExactWp(pair[0], pair[1], 1); err == nil {
 			t.Errorf("case %d: ExactWp accepted non-finite sample %v vs %v", i, pair[0], pair[1])
 		}
 	}
 	// Finite inputs must still pass.
-	if _, err := ExactWp([]float64{0.1, 0.9}, []float64{0.5}, 2); err != nil {
+	if _, err := testkit.ExactWp([]float64{0.1, 0.9}, []float64{0.5}, 2); err != nil {
 		t.Fatalf("finite samples rejected: %v", err)
 	}
 }

@@ -72,11 +72,10 @@ func FuzzPMFDistance(f *testing.F) {
 	})
 }
 
-// FuzzExactEMD checks the sample-space paths: Exact1D against the oracle's
-// monotone-coupling flow, and ExactWp's contract of rejecting non-finite
-// samples instead of sorting garbage. Layout: data[0] splits the remaining
-// bytes into the two samples; values decode through SpecialFloats so NaN
-// and ±Inf occur.
+// FuzzExactEMD checks the sample-space path: Exact1D against the oracle's
+// monotone-coupling flow. Layout: data[0] splits the remaining bytes into
+// the two samples; values decode through SpecialFloats, and inputs with
+// NaN or ±Inf are skipped (Exact1D's contract covers finite samples).
 func FuzzExactEMD(f *testing.F) {
 	f.Add([]byte{3, 10, 20, 30, 100, 150, 200})
 	f.Add([]byte{1, 255, 100}) // NaN in the first sample
@@ -91,30 +90,15 @@ func FuzzExactEMD(f *testing.F) {
 		if len(xs) == 0 || len(ys) == 0 {
 			return
 		}
-		finite := true
 		for _, v := range vals {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				finite = false
-				break
+				return
 			}
-		}
-		w1, err := ExactWp(xs, ys, 1)
-		if !finite {
-			if err == nil {
-				t.Fatalf("ExactWp accepted non-finite samples %v / %v", xs, ys)
-			}
-			return
-		}
-		if err != nil {
-			t.Fatalf("ExactWp rejected finite samples: %v", err)
 		}
 		var o testkit.Oracle
 		ex := Exact1D(xs, ys)
 		if want := o.WpFlow(xs, ys, 1); math.Abs(ex-want) > testkit.Tol {
 			t.Fatalf("Exact1D = %v, flow oracle = %v (xs=%v ys=%v)", ex, want, xs, ys)
-		}
-		if math.Abs(w1-ex) > testkit.Tol {
-			t.Fatalf("ExactWp(1) = %v, Exact1D = %v", w1, ex)
 		}
 	})
 }

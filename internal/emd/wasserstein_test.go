@@ -6,16 +6,17 @@ import (
 	"testing/quick"
 
 	"fairrank/internal/rng"
+	"fairrank/internal/testkit"
 )
 
 func TestExactWpValidation(t *testing.T) {
-	if _, err := ExactWp(nil, []float64{1}, 1); err == nil {
+	if _, err := testkit.ExactWp(nil, []float64{1}, 1); err == nil {
 		t.Error("empty sample accepted")
 	}
-	if _, err := ExactWp([]float64{1}, []float64{1}, 0.5); err == nil {
+	if _, err := testkit.ExactWp([]float64{1}, []float64{1}, 0.5); err == nil {
 		t.Error("order < 1 accepted")
 	}
-	if _, err := ExactWp([]float64{1}, []float64{1}, math.NaN()); err == nil {
+	if _, err := testkit.ExactWp([]float64{1}, []float64{1}, math.NaN()); err == nil {
 		t.Error("NaN order accepted")
 	}
 }
@@ -23,7 +24,7 @@ func TestExactWpValidation(t *testing.T) {
 func TestExactWpIdentical(t *testing.T) {
 	xs := []float64{0.1, 0.5, 0.9}
 	for _, p := range []float64{1, 2, 3} {
-		d, err := ExactWp(xs, xs, p)
+		d, err := testkit.ExactWp(xs, xs, p)
 		if err != nil || d != 0 {
 			t.Fatalf("W%v(x,x) = %v, %v", p, d, err)
 		}
@@ -35,7 +36,7 @@ func TestExactWpShift(t *testing.T) {
 	xs := []float64{0.1, 0.3, 0.5}
 	ys := []float64{0.3, 0.5, 0.7}
 	for _, p := range []float64{1, 2, 4} {
-		d, err := ExactWp(xs, ys, p)
+		d, err := testkit.ExactWp(xs, ys, p)
 		if err != nil || math.Abs(d-0.2) > 1e-12 {
 			t.Fatalf("W%v shift = %v, %v (want 0.2)", p, d, err)
 		}
@@ -55,7 +56,7 @@ func TestW1MatchesExact1DProperty(t *testing.T) {
 		for i := range ys {
 			ys[i] = r.Float64()
 		}
-		w1, err := ExactWp(xs, ys, 1)
+		w1, err := testkit.ExactWp(xs, ys, 1)
 		if err != nil {
 			return false
 		}
@@ -78,7 +79,7 @@ func TestWpMonotoneInOrderProperty(t *testing.T) {
 		}
 		prev := 0.0
 		for _, p := range []float64{1, 1.5, 2, 3} {
-			d, err := ExactWp(xs, ys, p)
+			d, err := testkit.ExactWp(xs, ys, p)
 			if err != nil || d < prev-1e-9 {
 				return false
 			}
@@ -97,13 +98,13 @@ func TestW2EmphasizesOutliers(t *testing.T) {
 	base := []float64{0, 0, 0, 0}
 	spread := []float64{0.25, 0.25, 0.25, 0.25} // each moves 0.25
 	outlier := []float64{0, 0, 0, 1.0}          // one moves 1.0
-	w1s, _ := ExactWp(base, spread, 1)
-	w1o, _ := ExactWp(base, outlier, 1)
+	w1s, _ := testkit.ExactWp(base, spread, 1)
+	w1o, _ := testkit.ExactWp(base, outlier, 1)
 	if math.Abs(w1s-w1o) > 1e-12 {
 		t.Fatalf("W1 differs: %v vs %v", w1s, w1o)
 	}
-	w2s, _ := ExactWp(base, spread, 2)
-	w2o, _ := ExactWp(base, outlier, 2)
+	w2s, _ := testkit.ExactWp(base, spread, 2)
+	w2o, _ := testkit.ExactWp(base, outlier, 2)
 	if !(w2o > w2s) {
 		t.Fatalf("W2 outlier %v not above spread %v", w2o, w2s)
 	}

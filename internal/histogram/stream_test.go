@@ -2,10 +2,144 @@ package histogram
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"fairrank/internal/rng"
 )
+
+// Stream is a streaming histogram sketch after Ben-Haim & Tom-Tov ("A
+// Streaming Parallel Decision Tree Algorithm", JMLR 2010). It maintains at
+// most maxCentroids (value, count) centroids and merges the closest pair
+// when it overflows. It suits scores whose range is not known up front:
+// the sketch is built in one pass and then materialized into a fixed-bin
+// Histogram. It has no production caller, so it lives beside its tests
+// rather than in the package.
+type Stream struct {
+	maxCentroids int
+	centroids    []centroid // kept sorted by value
+	total        float64
+	min, max     float64
+}
+
+type centroid struct {
+	value float64
+	count float64
+}
+
+// NewStream returns a streaming sketch holding at most maxCentroids
+// centroids. maxCentroids must be >= 2.
+func NewStream(maxCentroids int) *Stream {
+	if maxCentroids < 2 {
+		maxCentroids = 2
+	}
+	return &Stream{
+		maxCentroids: maxCentroids,
+		min:          math.Inf(1),
+		max:          math.Inf(-1),
+	}
+}
+
+// Add records one observation.
+func (s *Stream) Add(v float64) {
+	if math.IsNaN(v) {
+		return
+	}
+	s.total++
+	if v < s.min {
+		s.min = v
+	}
+	if v > s.max {
+		s.max = v
+	}
+	i := sort.Search(len(s.centroids), func(i int) bool { return s.centroids[i].value >= v })
+	if i < len(s.centroids) && s.centroids[i].value == v {
+		s.centroids[i].count++
+		return
+	}
+	s.centroids = append(s.centroids, centroid{})
+	copy(s.centroids[i+1:], s.centroids[i:])
+	s.centroids[i] = centroid{value: v, count: 1}
+	if len(s.centroids) > s.maxCentroids {
+		s.mergeClosest()
+	}
+}
+
+func (s *Stream) mergeClosest() {
+	best := 0
+	bestGap := math.Inf(1)
+	for i := 0; i+1 < len(s.centroids); i++ {
+		gap := s.centroids[i+1].value - s.centroids[i].value
+		if gap < bestGap {
+			bestGap = gap
+			best = i
+		}
+	}
+	a, b := s.centroids[best], s.centroids[best+1]
+	merged := centroid{
+		value: (a.value*a.count + b.value*b.count) / (a.count + b.count),
+		count: a.count + b.count,
+	}
+	s.centroids[best] = merged
+	s.centroids = append(s.centroids[:best+1], s.centroids[best+2:]...)
+}
+
+// Total returns the number of observations recorded.
+func (s *Stream) Total() float64 { return s.total }
+
+// Range returns the observed min and max. Both are infinities when empty.
+func (s *Stream) Range() (min, max float64) { return s.min, s.max }
+
+// Materialize converts the sketch into a fixed-bin Histogram over the
+// observed range (or [0,1] when empty/degenerate). Each centroid's mass is
+// deposited at its mean value.
+func (s *Stream) Materialize(bins int) *Histogram {
+	lo, hi := s.min, s.max
+	if !(hi > lo) {
+		lo, hi = 0, 1
+		if s.total > 0 {
+			// Single distinct value: center a unit-wide range on it.
+			lo, hi = s.min-0.5, s.min+0.5
+		}
+	}
+	h := MustNew(bins, lo, hi)
+	for _, c := range s.centroids {
+		h.AddWeighted(c.value, c.count)
+	}
+	return h
+}
+
+// Merge folds another sketch into s.
+func (s *Stream) Merge(o *Stream) {
+	for _, c := range o.centroids {
+		// Weighted insertion: replay the centroid as a single weighted point.
+		s.addWeighted(c.value, c.count)
+	}
+}
+
+func (s *Stream) addWeighted(v, w float64) {
+	if w <= 0 || math.IsNaN(v) {
+		return
+	}
+	s.total += w
+	if v < s.min {
+		s.min = v
+	}
+	if v > s.max {
+		s.max = v
+	}
+	i := sort.Search(len(s.centroids), func(i int) bool { return s.centroids[i].value >= v })
+	if i < len(s.centroids) && s.centroids[i].value == v {
+		s.centroids[i].count += w
+		return
+	}
+	s.centroids = append(s.centroids, centroid{})
+	copy(s.centroids[i+1:], s.centroids[i:])
+	s.centroids[i] = centroid{value: v, count: w}
+	if len(s.centroids) > s.maxCentroids {
+		s.mergeClosest()
+	}
+}
 
 func TestStreamExactWhenSmall(t *testing.T) {
 	s := NewStream(100)

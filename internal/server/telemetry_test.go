@@ -96,6 +96,25 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestAuditRunsPruningCascade pins that a default audit request runs the
+// engine's pruning cascade: on a population deep enough for the balanced
+// scan to cross the bound kernel's size threshold, the server's registry
+// must report pruned pair slots.
+func TestAuditRunsPruningCascade(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	uploadDataset(t, ts, "deep", 2000)
+	resp, raw := postJSON(t, ts.URL+"/v1/audits", map[string]any{
+		"dataset": "deep",
+		"weights": map[string]float64{"LanguageTest": 0.5, "ApprovalRate": 0.5},
+	})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("audit status %d: %s", resp.StatusCode, raw)
+	}
+	if v, ok := metricValue(scrape(t, ts), core.MetricPairsPruned); !ok || v <= 0 {
+		t.Fatalf("%s = %v, %v; want > 0 after a default audit", core.MetricPairsPruned, v, ok)
+	}
+}
+
 // TestMetricsMiddlewareConcurrent hammers one route from many goroutines
 // while scraping concurrently, then pins the counted total and the
 // histogram invariants (bucket monotonicity, count in the +Inf bucket).

@@ -3,49 +3,7 @@ package stats
 import (
 	"errors"
 	"sort"
-
-	"fairrank/internal/rng"
 )
-
-// PermutationTest estimates the probability, under the null hypothesis that
-// group labels are exchangeable, of observing a statistic at least as large
-// as the observed one. statistic receives a labeling (len == len(values))
-// assigning each value to a group in [0, groups) and returns the test
-// statistic — in fairrank typically the average pairwise EMD between the
-// groups' score histograms.
-//
-// It returns the one-sided p-value with the +1 small-sample correction
-// (Phipson & Smyth), so the p-value is never exactly zero.
-func PermutationTest(values []float64, labels []int, groups, rounds int, seed uint64,
-	statistic func(values []float64, labels []int, groups int) float64) (pValue, observed float64, err error) {
-	if len(values) == 0 || len(values) != len(labels) {
-		return 0, 0, errors.New("stats: values and labels must have equal non-zero length")
-	}
-	if groups < 2 {
-		return 0, 0, errors.New("stats: need at least two groups")
-	}
-	if rounds < 1 {
-		return 0, 0, errors.New("stats: need at least one permutation round")
-	}
-	for _, l := range labels {
-		if l < 0 || l >= groups {
-			return 0, 0, errors.New("stats: label out of range")
-		}
-	}
-	observed = statistic(values, labels, groups)
-	r := rng.New(seed)
-	perm := make([]int, len(labels))
-	copy(perm, labels)
-	extreme := 0
-	for i := 0; i < rounds; i++ {
-		r.Shuffle(len(perm), func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
-		if statistic(values, perm, groups) >= observed {
-			extreme++
-		}
-	}
-	pValue = (float64(extreme) + 1) / (float64(rounds) + 1)
-	return pValue, observed, nil
-}
 
 // BenjaminiHochberg applies the Benjamini-Hochberg step-up procedure to a
 // set of p-values, controlling the false discovery rate at level alpha. It
@@ -85,33 +43,4 @@ func BenjaminiHochberg(pValues []float64, alpha float64) ([]bool, error) {
 		out[sorted[k].i] = true
 	}
 	return out, nil
-}
-
-// Bootstrap resamples xs with replacement `rounds` times, applies statistic
-// to each resample, and returns the (lo, hi) percentile confidence interval
-// of the statistic at the given confidence level (e.g. 0.95).
-func Bootstrap(xs []float64, rounds int, confidence float64, seed uint64,
-	statistic func([]float64) float64) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	if rounds < 2 {
-		return 0, 0, errors.New("stats: need at least two bootstrap rounds")
-	}
-	if confidence <= 0 || confidence >= 1 {
-		return 0, 0, errors.New("stats: confidence must be in (0,1)")
-	}
-	r := rng.New(seed)
-	stats := make([]float64, rounds)
-	sample := make([]float64, len(xs))
-	for i := 0; i < rounds; i++ {
-		for j := range sample {
-			sample[j] = xs[r.Intn(len(xs))]
-		}
-		stats[i] = statistic(sample)
-	}
-	alpha := (1 - confidence) / 2
-	lo, _ = Quantile(stats, alpha)
-	hi, _ = Quantile(stats, 1-alpha)
-	return lo, hi, nil
 }

@@ -1,10 +1,8 @@
-// Package stats provides the descriptive statistics, resampling tests and
-// confidence intervals fairrank uses to report and sanity-check unfairness
-// measurements. The paper reports point estimates of average pairwise EMD;
-// this package additionally offers permutation significance tests and
-// bootstrap intervals so a platform auditor can tell sampling noise from
-// real disparity — a gap the paper itself notes when discussing the random
-// fluctuation of its simulated functions.
+// Package stats provides the descriptive statistics and multiple-testing
+// correction fairrank uses to report unfairness measurements: moments and
+// ranges for seed-aggregated experiment cells, the Gini coefficient for
+// the marketplace simulator's earnings, and Benjamini-Hochberg for
+// campaigns that test many scoring functions at once.
 package stats
 
 import (
@@ -68,60 +66,6 @@ func MinMax(xs []float64) (min, max float64, err error) {
 	return min, max, nil
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. xs need not be sorted.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, errors.New("stats: quantile out of [0,1]")
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
-
-// Summary bundles the descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Q25    float64
-	Median float64
-	Q75    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	m, _ := Mean(xs)
-	sd, _ := StdDev(xs)
-	min, max, _ := MinMax(xs)
-	q1, _ := Quantile(xs, 0.25)
-	med, _ := Median(xs)
-	q3, _ := Quantile(xs, 0.75)
-	return Summary{
-		N: len(xs), Mean: m, StdDev: sd,
-		Min: min, Q25: q1, Median: med, Q75: q3, Max: max,
-	}, nil
-}
-
 // Gini returns the Gini coefficient of a non-negative sample: 0 for
 // perfect equality, approaching 1 when one member holds everything. It is
 // the standard summary of income inequality, used by the marketplace
@@ -146,56 +90,4 @@ func Gini(xs []float64) (float64, error) {
 		return 0, nil
 	}
 	return (2*cum)/(n*total) - (n+1)/n, nil
-}
-
-// CohensD returns Cohen's d effect size between two samples: the
-// difference of means in units of the pooled standard deviation. |d| ≈ 0.2
-// is conventionally "small", 0.8 "large". Zero pooled variance yields 0
-// for equal means and ±Inf otherwise.
-func CohensD(a, b []float64) (float64, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return 0, ErrEmpty
-	}
-	ma, _ := Mean(a)
-	mb, _ := Mean(b)
-	va, _ := Variance(a)
-	vb, _ := Variance(b)
-	na, nb := float64(len(a)), float64(len(b))
-	pooled := (na*va + nb*vb) / (na + nb)
-	if pooled == 0 {
-		if ma == mb {
-			return 0, nil
-		}
-		return math.Inf(sign(ma - mb)), nil
-	}
-	return (ma - mb) / math.Sqrt(pooled), nil
-}
-
-func sign(v float64) int {
-	if v < 0 {
-		return -1
-	}
-	return 1
-}
-
-// Correlation returns the Pearson correlation coefficient of paired samples
-// xs and ys, which must have equal, non-zero length. A zero-variance input
-// yields 0 (no linear relationship detectable).
-func Correlation(xs, ys []float64) (float64, error) {
-	if len(xs) == 0 || len(xs) != len(ys) {
-		return 0, errors.New("stats: correlation needs equal-length non-empty samples")
-	}
-	mx, _ := Mean(xs)
-	my, _ := Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, nil
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
 }

@@ -1,12 +1,193 @@
 package stats
 
 import (
+	"errors"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"fairrank/internal/rng"
 )
+
+// The resampling tests and the descriptive statistics below have no
+// production caller; they live beside their tests rather than in the
+// package.
+
+// PermutationTest estimates the probability, under the null hypothesis that
+// group labels are exchangeable, of observing a statistic at least as large
+// as the observed one. statistic receives a labeling (len == len(values))
+// assigning each value to a group in [0, groups) and returns the test
+// statistic — in fairrank typically the average pairwise EMD between the
+// groups' score histograms.
+//
+// It returns the one-sided p-value with the +1 small-sample correction
+// (Phipson & Smyth), so the p-value is never exactly zero.
+func PermutationTest(values []float64, labels []int, groups, rounds int, seed uint64,
+	statistic func(values []float64, labels []int, groups int) float64) (pValue, observed float64, err error) {
+	if len(values) == 0 || len(values) != len(labels) {
+		return 0, 0, errors.New("stats: values and labels must have equal non-zero length")
+	}
+	if groups < 2 {
+		return 0, 0, errors.New("stats: need at least two groups")
+	}
+	if rounds < 1 {
+		return 0, 0, errors.New("stats: need at least one permutation round")
+	}
+	for _, l := range labels {
+		if l < 0 || l >= groups {
+			return 0, 0, errors.New("stats: label out of range")
+		}
+	}
+	observed = statistic(values, labels, groups)
+	r := rng.New(seed)
+	perm := make([]int, len(labels))
+	copy(perm, labels)
+	extreme := 0
+	for i := 0; i < rounds; i++ {
+		r.Shuffle(len(perm), func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
+		if statistic(values, perm, groups) >= observed {
+			extreme++
+		}
+	}
+	pValue = (float64(extreme) + 1) / (float64(rounds) + 1)
+	return pValue, observed, nil
+}
+
+// Bootstrap resamples xs with replacement `rounds` times, applies statistic
+// to each resample, and returns the (lo, hi) percentile confidence interval
+// of the statistic at the given confidence level (e.g. 0.95).
+func Bootstrap(xs []float64, rounds int, confidence float64, seed uint64,
+	statistic func([]float64) float64) (lo, hi float64, err error) {
+	if len(xs) == 0 {
+		return 0, 0, ErrEmpty
+	}
+	if rounds < 2 {
+		return 0, 0, errors.New("stats: need at least two bootstrap rounds")
+	}
+	if confidence <= 0 || confidence >= 1 {
+		return 0, 0, errors.New("stats: confidence must be in (0,1)")
+	}
+	r := rng.New(seed)
+	stats := make([]float64, rounds)
+	sample := make([]float64, len(xs))
+	for i := 0; i < rounds; i++ {
+		for j := range sample {
+			sample[j] = xs[r.Intn(len(xs))]
+		}
+		stats[i] = statistic(sample)
+	}
+	alpha := (1 - confidence) / 2
+	lo, _ = Quantile(stats, alpha)
+	hi, _ = Quantile(stats, 1-alpha)
+	return lo, hi, nil
+}
+
+// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
+// interpolation between order statistics. xs need not be sorted.
+func Quantile(xs []float64, q float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, ErrEmpty
+	}
+	if q < 0 || q > 1 || math.IsNaN(q) {
+		return 0, errors.New("stats: quantile out of [0,1]")
+	}
+	sorted := make([]float64, len(xs))
+	copy(sorted, xs)
+	sort.Float64s(sorted)
+	pos := q * float64(len(sorted)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return sorted[lo], nil
+	}
+	frac := pos - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
+}
+
+// Median returns the 0.5-quantile of xs.
+func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
+
+// Summary bundles the descriptive statistics of a sample.
+type Summary struct {
+	N      int
+	Mean   float64
+	StdDev float64
+	Min    float64
+	Q25    float64
+	Median float64
+	Q75    float64
+	Max    float64
+}
+
+// Summarize computes a Summary of xs.
+func Summarize(xs []float64) (Summary, error) {
+	if len(xs) == 0 {
+		return Summary{}, ErrEmpty
+	}
+	m, _ := Mean(xs)
+	sd, _ := StdDev(xs)
+	min, max, _ := MinMax(xs)
+	q1, _ := Quantile(xs, 0.25)
+	med, _ := Median(xs)
+	q3, _ := Quantile(xs, 0.75)
+	return Summary{
+		N: len(xs), Mean: m, StdDev: sd,
+		Min: min, Q25: q1, Median: med, Q75: q3, Max: max,
+	}, nil
+}
+
+// CohensD returns Cohen's d effect size between two samples: the
+// difference of means in units of the pooled standard deviation. |d| ≈ 0.2
+// is conventionally "small", 0.8 "large". Zero pooled variance yields 0
+// for equal means and ±Inf otherwise.
+func CohensD(a, b []float64) (float64, error) {
+	if len(a) == 0 || len(b) == 0 {
+		return 0, ErrEmpty
+	}
+	ma, _ := Mean(a)
+	mb, _ := Mean(b)
+	va, _ := Variance(a)
+	vb, _ := Variance(b)
+	na, nb := float64(len(a)), float64(len(b))
+	pooled := (na*va + nb*vb) / (na + nb)
+	if pooled == 0 {
+		if ma == mb {
+			return 0, nil
+		}
+		return math.Inf(sign(ma - mb)), nil
+	}
+	return (ma - mb) / math.Sqrt(pooled), nil
+}
+
+func sign(v float64) int {
+	if v < 0 {
+		return -1
+	}
+	return 1
+}
+
+// Correlation returns the Pearson correlation coefficient of paired samples
+// xs and ys, which must have equal, non-zero length. A zero-variance input
+// yields 0 (no linear relationship detectable).
+func Correlation(xs, ys []float64) (float64, error) {
+	if len(xs) == 0 || len(xs) != len(ys) {
+		return 0, errors.New("stats: correlation needs equal-length non-empty samples")
+	}
+	mx, _ := Mean(xs)
+	my, _ := Mean(ys)
+	var sxy, sxx, syy float64
+	for i := range xs {
+		dx, dy := xs[i]-mx, ys[i]-my
+		sxy += dx * dy
+		sxx += dx * dx
+		syy += dy * dy
+	}
+	if sxx == 0 || syy == 0 {
+		return 0, nil
+	}
+	return sxy / math.Sqrt(sxx*syy), nil
+}
 
 func TestMean(t *testing.T) {
 	if _, err := Mean(nil); err != ErrEmpty {

@@ -164,7 +164,7 @@ func (o Oracle) ExactUnfairness(scores []float64, parts [][]int) float64 {
 // distributions of two samples by materializing the monotone coupling
 // explicitly: both samples sorted, two mass pointers, each matched chunk
 // contributing mass·|x−y|ᵖ. For p = 1 it is the flow-built counterpart of
-// emd.Exact1D's CDF sweep; for general p it checks emd.ExactWp's
+// emd.Exact1D's CDF sweep; for general p it checks ExactWp's
 // quantile-grid evaluation. Either sample empty yields 0.
 func (Oracle) WpFlow(xs, ys []float64, p float64) float64 {
 	if len(xs) == 0 || len(ys) == 0 {
@@ -177,10 +177,10 @@ func (Oracle) WpFlow(xs, ys []float64, p float64) float64 {
 	stepA := 1 / float64(len(a))
 	stepB := 1 / float64(len(b))
 	var (
-		i, j           int
-		remainA        = stepA
-		remainB        = stepB
-		total  float64 = 0
+		i, j    int
+		remainA         = stepA
+		remainB         = stepB
+		total   float64 = 0
 	)
 	for i < len(a) && j < len(b) {
 		m := remainA

@@ -1,4 +1,4 @@
-package emd
+package testkit
 
 import (
 	"errors"
@@ -10,21 +10,23 @@ import (
 // distributions of two 1-D samples, using the quantile-coupling identity
 // W_p(a,b) = (∫₀¹ |F_a⁻¹(q) - F_b⁻¹(q)|ᵖ dq)^(1/p), evaluated piecewise
 // over the merged quantile grid of the two samples. p = 1 coincides with
-// Exact1D; p = 2 penalizes large score gaps quadratically, an alternative
-// unfairness emphasis the paper's future-work metric search contemplates.
+// emd.Exact1D; p = 2 penalizes large score gaps quadratically, an
+// alternative unfairness emphasis the paper's future-work metric search
+// contemplates. It is a second, independent sweep beside Oracle.WpFlow's
+// mass-pointer coupling: the two are checked against each other.
 func ExactWp(xs, ys []float64, p float64) (float64, error) {
 	if p < 1 || math.IsNaN(p) || math.IsInf(p, 0) {
-		return 0, errors.New("emd: Wasserstein order must be >= 1")
+		return 0, errors.New("testkit: Wasserstein order must be >= 1")
 	}
 	if len(xs) == 0 || len(ys) == 0 {
-		return 0, errors.New("emd: empty sample")
+		return 0, errors.New("testkit: empty sample")
 	}
 	// NaN breaks sort.Float64s ordering and Inf makes the integral diverge;
 	// both would silently produce garbage, so reject them up front.
 	for _, s := range [2][]float64{xs, ys} {
 		for _, v := range s {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return 0, errors.New("emd: non-finite sample value")
+				return 0, errors.New("testkit: non-finite sample value")
 			}
 		}
 	}
